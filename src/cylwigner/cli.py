@@ -1,23 +1,20 @@
 """Command-line surface: grid computation, marginals, and oracle checks.
 
 Exit codes: 0 success, 2 spec parse error, 3 precondition violation,
-4 numerical-tolerance failure.  ``OAM_WIGNER_THREADS`` caps grid
-parallelism (default 1).  Output is byte-deterministic for fixed inputs.
+4 numerical-tolerance failure.  Output is byte-deterministic for fixed inputs.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .cylindrical import (KAPPA, CylPoint, gauss_hermite, oracle_cyl_from_cartesian,
-                          wigner_cyl, wigner_cyl_grid)
+from .cylindrical import (KAPPA, CylPoint, default_rule, gauss_hermite,
+                          oracle_cyl_from_cartesian, wigner_cyl, wigner_cyl_grid)
 from .errors import CylWignerError, SpecParseError
-from .phase1d import Convention
 from .statespec import build_state, parse_state_spec, serialize_state_spec
 
 EXIT_OK = 0
@@ -39,7 +36,6 @@ class GridRequest:
     ell_min: int
     ell_max: int
     quad_order: int
-    convention: Convention = Convention.MARGINAL
 
     def __post_init__(self):
         if self.r_min <= 0:
@@ -66,7 +62,6 @@ def write_grid_csv(fh, spec, req, grid):
     r, phi, ell = grid.r_nodes, grid.phi_nodes, grid.ell_values
     fh.write(f"# cylwigner-grid v{__version__}\n")
     fh.write(f"# state: {serialize_state_spec(spec)}\n")
-    fh.write(f"# convention: {req.convention.value}\n")
     fh.write(f"# quad_order: {req.quad_order}\n")
     fh.write("# r_nodes: " + " ".join(_fmt(v) for v in r) + "\n")
     fh.write("# phi_nodes: " + " ".join(_fmt(v) for v in phi) + "\n")
@@ -82,7 +77,6 @@ def write_grid_json(fh, spec, req, grid):
     doc = {
         "format": f"cylwigner-grid v{__version__}",
         "state": serialize_state_spec(spec),
-        "convention": req.convention.value,
         "quad_order": req.quad_order,
         "r_nodes": [_fmt(v) for v in grid.r_nodes],
         "phi_nodes": [_fmt(v) for v in grid.phi_nodes],
@@ -93,11 +87,10 @@ def write_grid_json(fh, spec, req, grid):
     fh.write("\n")
 
 
-def cmd_wigner_cyl(spec, req, out_path, fmt="csv", n_workers=1):
-    state = build_state(spec)
+def cmd_wigner_cyl(spec, state, req, out_path, fmt="csv"):
     rule = gauss_hermite(req.quad_order)
     r, phi, ell = req.axes()
-    grid = wigner_cyl_grid(state, r, phi, ell, rule, n_workers=n_workers)
+    grid = wigner_cyl_grid(state, r, phi, ell, rule)
     writer = write_grid_csv if fmt == "csv" else write_grid_json
     if out_path in (None, "-"):
         writer(sys.stdout, spec, req, grid)
@@ -107,13 +100,12 @@ def cmd_wigner_cyl(spec, req, out_path, fmt="csv", n_workers=1):
     return EXIT_OK
 
 
-def cmd_oracle_check(spec, n_points=10, seed=0, r_range=(0.5, 2.2), ell_span=3,
+def cmd_oracle_check(state, n_points=10, seed=0, r_range=(0.5, 2.2), ell_span=3,
                      stream=None):
     """Compare the two evaluation routes at random points; report the ratios."""
     stream = stream or sys.stdout
-    state = build_state(spec)
     rng = np.random.default_rng(seed)
-    gh = gauss_hermite(state.max_total_quanta + 4)
+    gh = default_rule(state)
     pr_rule = gauss_hermite(state.max_total_quanta + 8)
     ratios = []
     for _ in range(n_points):
@@ -166,9 +158,7 @@ def build_parser():
                    help="lowest ell (default -lmax)")
     g.add_argument("--quad-order", type=int, default=None,
                    help="Gauss-Hermite order (default: state quanta + 8)")
-    g.add_argument("--convention", choices=["literal", "marginal"], default="marginal")
     g.add_argument("--format", choices=["csv", "json"], default="csv")
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     o = sub.add_parser("oracle-check", parents=[common],
@@ -191,17 +181,16 @@ def main(argv=None):
         return EXIT_PRECONDITION
 
     try:
+        state = build_state(spec)
         if args.command == "wigner-cyl":
-            state = build_state(spec)
             order = args.quad_order
             if order is None:
                 order = state.max_total_quanta + 8
             req = GridRequest(args.r_min, args.r_max, args.nr, args.nphi,
                               args.lmin if args.lmin is not None else -args.lmax,
-                              args.lmax, order, Convention(args.convention))
-            n_workers = max(1, int(os.environ.get("OAM_WIGNER_THREADS", "1")))
-            return cmd_wigner_cyl(spec, req, args.out, args.format, n_workers)
-        return cmd_oracle_check(spec, args.n_points, args.seed)
+                              args.lmax, order)
+            return cmd_wigner_cyl(spec, state, req, args.out, args.format)
+        return cmd_oracle_check(state, args.n_points, args.seed)
     except ValueError as e:
         print(_error_record(EXIT_PRECONDITION, e), file=sys.stderr)
         return EXIT_PRECONDITION

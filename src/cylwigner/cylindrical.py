@@ -19,7 +19,7 @@ agree up to one global constant (empirically 4 pi^2, see KAPPA).
 
 import warnings
 from dataclasses import dataclass
-from math import log, pi
+from math import pi
 
 import numpy as np
 
@@ -89,8 +89,19 @@ def _check_rule(rule, max_quanta):
         )
 
 
-def wigner_cyl(s, at, rule=None):
-    """W(r, phi, ell) by the contour-shifted Gauss-Hermite sum (exact)."""
+def _evaluate(s, r, phi, ell, rule):
+    """W at every point of the broadcast (r, phi, ell) arrays, as a float array.
+
+    The one evaluation kernel behind the point, grid and marginal entry
+    points: the contour-shifted Gauss-Hermite sum, with the polynomial part
+    evaluated on arrays of shape (points, nodes) and summed over the nodes.
+    """
+    r, phi, ell = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                      np.asarray(phi, dtype=float), np.asarray(ell))
+    if not (np.isfinite(r) & (r > 0)).all():
+        raise ValueError("r must be strictly positive")
+    if not (np.mod(ell, 1) == 0).all():
+        raise ValueError("ell must be an integer")
     if not s.is_normalized:
         raise ValueError("state must be normalized")
     max_quanta = s.max_total_quanta
@@ -98,14 +109,16 @@ def wigner_cyl(s, at, rule=None):
         rule = default_rule(s)
     _check_rule(rule, max_quanta)
 
-    r, phi, ell = at.r, at.phi, at.ell
-    shift = ell / r
-    expo = r * r + shift * shift
-    if expo > 700.0:
-        # envelope underflows; bail out before the polynomial part overflows
-        bound = 2 * max_quanta * log(2.0 + r + abs(shift) + rule.nodes[-1])
-        if expo - bound > 745.0:
-            return 0.0
+    # where the envelope underflows, bail out before the polynomial part overflows;
+    # at a subnormal r the exponent is inf and inf - bound may be nan: both bail out
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = ell / r
+        expo = r * r + shift * shift
+        bound = 2 * max_quanta * np.log(2.0 + r + np.abs(shift) + rule.nodes[-1])
+        live = (expo <= 700.0) | (expo - bound <= 745.0)
+    out = np.zeros(r.shape)
+    r, shift, expo = r[live][:, None], shift[live][:, None], expo[live]
+    phi = np.mod(phi[live][:, None], 2.0 * pi)
 
     rp = rule.nodes + 1j * shift
     em = np.exp(-1j * phi)
@@ -114,46 +127,40 @@ def wigner_cyl(s, at, rule=None):
     xi_bwd = r - 1j * rp
     ket = amplitude_polynomial(s, xi_fwd * em, xi_bwd * ep)
     bra = amplitude_polynomial(s, xi_bwd * em, xi_fwd * ep, conjugated=True)
-    total = np.sum(rule.weights * bra * ket)
+    total = np.sum(rule.weights * bra * ket, axis=-1)
     val = 4.0 * np.exp(-expo) * total
-    scale = max(abs(val), 4.0 * np.exp(-expo) * np.sum(rule.weights * np.abs(bra * ket)))
-    if abs(val.imag) > 1e-9 * max(scale, 1e-300):
+    scale = np.maximum(np.abs(val),
+                       4.0 * np.exp(-expo) * np.sum(rule.weights * np.abs(bra * ket), axis=-1))
+    if (np.abs(val.imag) > 1e-9 * np.maximum(scale, 1e-300)).any():
         raise QuadratureResidueError(
             "imaginary residue of the cylindrical Wigner sum exceeds tolerance"
         )
-    return float(val.real)
+    out[live] = val.real
+    return out
 
 
-def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values, rule=None, n_workers=1):
+def wigner_cyl(s, at, rule=None):
+    """W(r, phi, ell) by the contour-shifted Gauss-Hermite sum (exact)."""
+    return float(_evaluate(s, at.r, at.phi, at.ell, rule))
+
+
+def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values, rule=None):
     """Dense W over the product of the given axes.
 
-    Points are independent; with ``n_workers > 1`` the ell slices are
-    evaluated on a thread pool and assembled in deterministic axis order.
+    One kernel call per (r, ell) row over all phi nodes: a batch of the
+    whole grid would hold its (points, nodes) temporaries all at once.
     """
     r_nodes = np.asarray(r_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     ell_values = np.asarray(ell_values, dtype=int)
     if r_nodes.size == 0 or phi_nodes.size == 0 or ell_values.size == 0:
         raise ValueError("grid axes must be non-empty")
-    if np.any(r_nodes <= 0):
-        raise ValueError("all r nodes must be strictly positive")
     if rule is None:
         rule = default_rule(s)
-
-    def ell_slice(ell):
-        out = np.empty((len(r_nodes), len(phi_nodes)))
-        for i, r in enumerate(r_nodes):
-            for j, phi in enumerate(phi_nodes):
-                out[i, j] = wigner_cyl(s, CylPoint(r, phi, int(ell)), rule)
-        return out
-
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            slices = list(ex.map(ell_slice, ell_values))
-    else:
-        slices = [ell_slice(ell) for ell in ell_values]
-    values = np.stack(slices, axis=-1)
+    values = np.empty((len(r_nodes), len(phi_nodes), len(ell_values)))
+    for i, r in enumerate(r_nodes):
+        for k, ell in enumerate(ell_values):
+            values[i, :, k] = _evaluate(s, r, phi_nodes, ell, rule)
     return CylGrid(r_nodes, phi_nodes, ell_values, values)
 
 
@@ -166,8 +173,7 @@ def marginal_angle_oam(s, phi, ell, radial_rule):
     """
     if radial_rule.kind is not QuadKind.GAUSS_LEGENDRE_MAPPED:
         raise ValueError("radial integration requires a mapped Gauss-Legendre rule")
-    gh = default_rule(s)
-    vals = np.array([wigner_cyl(s, CylPoint(r, phi, ell), gh) for r in radial_rule.nodes])
+    vals = _evaluate(s, radial_rule.nodes, phi, ell, None)
     peak = np.max(np.abs(vals))
     if abs(vals[-1]) > 1e-12 * max(peak, 1e-300):
         warnings.warn(
@@ -183,25 +189,19 @@ def marginal_radial(s, r, ell_max):
     literal convention.  The phi integral is a uniform rule, exact for the
     trigonometric polynomial W is in phi.
     """
-    if r <= 0:
-        raise ValueError("r must be strictly positive")
-    max_quanta = s.max_total_quanta
     gh = default_rule(s)
-    n_phi = 4 * max_quanta + 5
+    n_phi = 4 * s.max_total_quanta + 5
     phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
     wphi = 2.0 * pi / n_phi
-    # an OAM eigenstate has exactly phi-independent W; skip the phi sweep
+    ells = np.arange(-ell_max, ell_max + 1)
     oam_vals = {np_ - nm for np_, nm, _ in s.support()}
-    flat_phi = len(oam_vals) == 1
-
-    def ring(ell):
-        if flat_phi:
-            return 2.0 * pi * wigner_cyl(s, CylPoint(r, 0.0, ell), gh)
-        return wphi * sum(wigner_cyl(s, CylPoint(r, p, ell), gh) for p in phis)
-
-    rings = {ell: ring(ell) for ell in range(-ell_max, ell_max + 1)}
-    total = sum(rings.values())
-    edge = abs(rings[ell_max]) + abs(rings[-ell_max])
+    if len(oam_vals) == 1:
+        # an OAM eigenstate has exactly phi-independent W: one point per ring
+        rings = (2.0 * pi * _evaluate(s, r, 0.0, ells, gh)).tolist()
+    else:
+        rings = [wphi * sum(_evaluate(s, r, phis, ell, gh).tolist()) for ell in ells]
+    total = sum(rings)
+    edge = abs(rings[-1]) + abs(rings[0])
     if edge > 1e-10 * max(abs(total), 1e-300):
         raise ConvergenceError(
             f"|ell| = {ell_max} ring still contributes {edge:.3e}; increase ell_max"

@@ -12,9 +12,11 @@ Parsing validates the constructor preconditions (parity, ranges) so a
 spec that parses is a spec that builds.
 """
 
+import cmath
 import json
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 
@@ -67,14 +69,47 @@ def build_state(spec):
     return TwoModeFock(table / nrm)
 
 
-def _parse_scalar(kind, key, text, col):
+def _parse_scalar(kind, key, value, col):
+    """One schema value, key=value text or a JSON value, as an int or a finite float."""
+    # refused, not coerced: a JSON boolean, and a JSON float for an int (int(2.7) is 2)
+    refused = isinstance(value, bool) or (kind is int and isinstance(value, float))
     try:
-        if kind is int:
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise SpecParseError(f"value for {key} is not a valid {kind.__name__}: {text!r}",
-                             column=col) from None
+        v = None if refused else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or (kind is float and not isfinite(v)):
+        raise SpecParseError(f"value for {key} is not a valid finite {kind.__name__}: "
+                             f"{value!r}", column=col)
+    return v
+
+
+def _schema_spec(kind, pairs, cols):
+    """Spec of a parameterized kind from key -> value; ``cols`` gives error columns."""
+    schema = _REQUIRED[kind]
+    params = {}
+    for key, typ in schema.items():
+        if key not in pairs:
+            raise SpecParseError(f"{kind.value} spec is missing {key}")
+        params[key] = _parse_scalar(typ, key, pairs[key], cols.get(key, 1))
+    extra = sorted(set(pairs) - set(schema))
+    if extra:
+        raise SpecParseError(f"unexpected keys for {kind.value}: {extra}",
+                             column=cols.get(extra[0], 1))
+    return StateSpec(kind, params).validate()
+
+
+def _raw_spec(entries):
+    """Spec of a raw table from (i, j, coefficient, column) tuples."""
+    coeffs = {}
+    for i, j, c, col in entries:
+        if not all(type(k) is int and k >= 0 for k in (i, j)):
+            raise SpecParseError(f"bad raw coefficient indices {i!r}, {j!r}", column=col)
+        if not cmath.isfinite(c):
+            raise SpecParseError(f"raw coefficient c[{i},{j}] is not finite", column=col)
+        coeffs[(i, j)] = c
+    if not coeffs:
+        raise SpecParseError("raw spec needs at least one coefficient")
+    return StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}).validate()
 
 
 def parse_state_spec(text):
@@ -111,38 +146,22 @@ def _parse_keyvalue(text):
         pairs[key] = val
         cols[key] = col
 
-    if kind is StateKind.RAW_COEFFS:
-        entries = {}
-        for key, val in pairs.items():
-            col = cols[key]
-            if not (key.startswith("c[") and key.endswith("]")):
-                raise SpecParseError(f"raw spec keys must look like c[i,j], got {key!r}",
-                                     column=col)
-            try:
-                i, j = (int(part) for part in key[2:-1].split(","))
-                c = complex(val)
-            except ValueError:
-                raise SpecParseError(f"bad raw coefficient entry {key}={val}",
-                                     column=col) from None
-            if i < 0 or j < 0:
-                raise SpecParseError("raw coefficient indices must be non-negative",
-                                     column=col)
-            entries[(i, j)] = c
-        if not entries:
-            raise SpecParseError("raw spec needs at least one coefficient")
-        return StateSpec(StateKind.RAW_COEFFS, {"coeffs": entries}).validate()
-
-    schema = _REQUIRED[kind]
-    params = {}
-    for key, typ in schema.items():
-        if key not in pairs:
-            raise SpecParseError(f"{kind.value} spec is missing {key}")
-        params[key] = _parse_scalar(typ, key, pairs[key], cols[key])
-    extra = set(pairs) - set(schema)
-    if extra:
-        raise SpecParseError(f"unexpected keys for {kind.value}: {sorted(extra)}",
-                             column=cols[sorted(extra)[0]])
-    return StateSpec(kind, params).validate()
+    if kind is not StateKind.RAW_COEFFS:
+        return _schema_spec(kind, pairs, cols)
+    entries = []
+    for key, val in pairs.items():
+        col = cols[key]
+        if not (key.startswith("c[") and key.endswith("]")):
+            raise SpecParseError(f"raw spec keys must look like c[i,j], got {key!r}",
+                                 column=col)
+        try:
+            i, j = (int(part) for part in key[2:-1].split(","))
+            c = complex(val)
+        except ValueError:
+            raise SpecParseError(f"bad raw coefficient entry {key}={val}",
+                                 column=col) from None
+        entries.append((i, j, c, col))
+    return _raw_spec(entries)
 
 
 def _parse_json(text):
@@ -152,33 +171,27 @@ def _parse_json(text):
         raise SpecParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecParseError("JSON spec must be an object with a 'kind' field")
+    head = obj.pop("kind")
     try:
-        kind = StateKind(obj["kind"])
+        kind = StateKind(head)
     except ValueError:
-        raise SpecParseError(f"unknown state kind {obj['kind']!r}") from None
-    if kind is StateKind.RAW_COEFFS:
-        entries = {}
-        for item in obj.get("coeffs", []):
-            try:
-                i, j, val = item[0], item[1], item[2]
-                c = complex(val) if isinstance(val, str) else complex(*val) \
-                    if isinstance(val, list) else complex(val)
-            except (TypeError, ValueError, IndexError):
-                raise SpecParseError(f"bad raw coefficient entry {item!r}") from None
-            entries[(int(i), int(j))] = c
-        if not entries:
-            raise SpecParseError("raw spec needs at least one coefficient")
-        return StateSpec(kind, {"coeffs": entries}).validate()
-    schema = _REQUIRED[kind]
-    params = {}
-    for key, typ in schema.items():
-        if key not in obj:
-            raise SpecParseError(f"{kind.value} spec is missing {key}")
+        raise SpecParseError(f"unknown state kind {head!r}") from None
+    if kind is not StateKind.RAW_COEFFS:
+        return _schema_spec(kind, obj, {})
+    items = obj.pop("coeffs", [])
+    if obj:
+        raise SpecParseError(f"unexpected keys for raw: {sorted(obj)}")
+    if not isinstance(items, list):
+        raise SpecParseError("raw JSON spec needs a list of [i, j, value] coefficients")
+    entries = []
+    for item in items:
         try:
-            params[key] = typ(obj[key])
+            i, j, val = item
+            c = complex(*val) if isinstance(val, list) else complex(val)
         except (TypeError, ValueError):
-            raise SpecParseError(f"value for {key} is not a valid {typ.__name__}") from None
-    return StateSpec(kind, params).validate()
+            raise SpecParseError(f"bad raw coefficient entry {item!r}") from None
+        entries.append((i, j, c, 1))
+    return _raw_spec(entries)
 
 
 def serialize_state_spec(spec):

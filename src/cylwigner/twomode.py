@@ -8,6 +8,7 @@ x/y mode basis enters only through explicit basis rotations.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, exp, lgamma, pi, sqrt
 
 import numpy as np
@@ -50,6 +51,11 @@ class TwoModeFock:
         if len(idx) == 0:
             return 0
         return int(np.max(idx.sum(axis=1)))
+
+    @cached_property
+    def xy_coeffs(self):
+        """The table over (n_x, n_y), computed once; the 4D evaluator runs in loops."""
+        return _to_xy(self)
 
     def support(self):
         """Iterate over (n_plus, n_minus, coefficient) for nonzero entries."""
@@ -173,15 +179,6 @@ def _to_xy(s):
     return _basis_rotation(s.coeffs, q, 1j * q, q, -1j * q)
 
 
-def _xy_coeffs(s):
-    # cached per immutable state; the 4D evaluator is called in grid loops
-    cached = getattr(s, "_xy_cache", None)
-    if cached is None:
-        cached = _to_xy(s)
-        object.__setattr__(s, "_xy_cache", cached)
-    return cached
-
-
 def displaced_fock_matrix(alpha, dim):
     """Matrix elements <m|D(alpha)|n> for m, n < dim.
 
@@ -211,7 +208,7 @@ def wigner_4d(s, at):
     """
     if not s.is_normalized:
         raise ValueError("state must be normalized")
-    cxy = _xy_coeffs(s)
+    cxy = s.xy_coeffs
     dim = cxy.shape[0]
     ax = (at.x + 1j * at.p_x) / sqrt(2.0)
     ay = (at.y + 1j * at.p_y) / sqrt(2.0)

@@ -53,6 +53,12 @@ def test_parse_error_exit_2(capsys):
     assert record["error"] == "SpecParseError"
 
 
+def test_json_spec_hole_exit_2(capsys):
+    code, _, err = run(capsys, ["wigner-cyl", "--state", '{"kind": "raw", "coeffs": 5}'])
+    assert code == 2
+    assert json.loads(err)["error"] == "SpecParseError"
+
+
 def test_precondition_exit_3_parity(capsys):
     code, _, err = run(capsys, ["wigner-cyl", "--state", "eigenstate N=3 l0=2"])
     assert code == 3
@@ -94,20 +100,6 @@ def test_byte_determinism(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_bytes()) > 0
-
-
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    argv = [
-        "wigner-cyl", "--state", "eigenstate N=2 l0=0", "--r-min", "0.4",
-        "--r-max", "2.0", "--nr", "3", "--nphi", "2", "--lmax", "2",
-    ]
-    one = tmp_path / "one.csv"
-    many = tmp_path / "many.csv"
-    monkeypatch.delenv("OAM_WIGNER_THREADS", raising=False)
-    assert main(argv + ["--out", str(one)]) == 0
-    monkeypatch.setenv("OAM_WIGNER_THREADS", "4")
-    assert main(argv + ["--out", str(many)]) == 0
-    assert one.read_bytes() == many.read_bytes()
 
 
 def test_quad_order_too_small_exit_4(capsys):

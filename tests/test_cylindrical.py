@@ -1,3 +1,4 @@
+import warnings
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -36,6 +37,10 @@ def test_vacuum_closed_form():
 def test_small_r_large_ell_underflows_to_zero():
     # the envelope e^{-ell^2/r^2} is far below double-precision range here
     assert wigner_cyl(vacuum_state(), CylPoint(1e-6, 0.0, 3)) == 0.0
+    # at a subnormal r, ell / r and the exponent are infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wigner_cyl(make_summed_oam(1, 5), CylPoint(1e-320, 0.0, 3)) == 0.0
 
 
 def test_point_validation():
@@ -90,18 +95,25 @@ def test_grid_matches_pointwise(rng):
     for i, r in enumerate(r_nodes):
         for j, phi in enumerate(phi_nodes):
             for k, ell in enumerate(ells):
-                assert grid.values[i, j, k] == pytest.approx(
-                    wigner_cyl(s, CylPoint(r, phi, ell)), rel=1e-13)
+                assert grid.values[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
 
 
-def test_grid_threaded_matches_serial():
-    s = make_summed_oam(1, 5)
-    r_nodes = np.linspace(0.3, 2.5, 4)
-    phi_nodes = np.linspace(0, 2 * pi, 3, endpoint=False)
-    ells = np.arange(-2, 3)
-    serial = wigner_cyl_grid(s, r_nodes, phi_nodes, ells, n_workers=1)
-    threaded = wigner_cyl_grid(s, r_nodes, phi_nodes, ells, n_workers=3)
-    assert np.array_equal(serial.values, threaded.values)
+def test_grid_across_underflow_region():
+    # degree 40: without the underflow bail-out, bra * ket overflows at r = 1e-9
+    s = make_summed_oam(0, 20)
+    r_nodes = np.geomspace(1e-9, 1.0, 19)
+    phi_nodes = np.linspace(0, 2 * pi, 5, endpoint=False)
+    ells = np.arange(-3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = wigner_cyl_grid(s, r_nodes, phi_nodes, ells)
+        for i, r in enumerate(r_nodes):
+            for k, ell in enumerate(ells):
+                want = [wigner_cyl(s, CylPoint(r, phi, ell)) for phi in phi_nodes]
+                assert np.array_equal(grid.values[i, :, k], want)
+    underflow = (r_nodes[:, None] ** 2 + (ells[None, :] / r_nodes[:, None]) ** 2) > 745.0
+    assert np.all(grid.values.transpose(0, 2, 1)[underflow] == 0.0)
+    assert np.all(grid.values.transpose(0, 2, 1)[~underflow].any(axis=-1))
 
 
 def test_grid_axis_validation():
@@ -131,6 +143,16 @@ def test_marginal_radial_vacuum():
     got = marginal_radial(s, r, 8)
     want = sum(2.0 * pi * vacuum_closed_form(r, ell) for ell in range(-8, 9))
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_marginal_radial_is_the_phi_sum_of_points():
+    s = make_superposition(3, -3, 0.0, 9)
+    r, ell_max = 1.1, 16
+    n_phi = 4 * s.max_total_quanta + 5
+    phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
+    rings = [2.0 * pi / n_phi * sum(wigner_cyl(s, CylPoint(r, p, ell)) for p in phis)
+             for ell in range(-ell_max, ell_max + 1)]
+    assert marginal_radial(s, r, ell_max) == sum(rings)
 
 
 def test_marginal_radial_errors():

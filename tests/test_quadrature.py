@@ -1,4 +1,4 @@
-from math import pi, sqrt
+from math import fsum, pi, sqrt
 
 import numpy as np
 import pytest
@@ -30,8 +30,9 @@ def test_gh_moment_identities():
     # int e^{-t^2} t^4 dt = (3/4) sqrt(pi)
     rule = gauss_hermite(5)
     assert abs(np.sum(rule.weights * rule.nodes ** 4) - 0.75 * sqrt(pi)) < 1e-13
-    # odd moments vanish identically with symmetric nodes
-    assert np.sum(rule.weights * rule.nodes ** 7) == 0.0
+    # odd moments vanish identically with symmetric nodes: the products cancel
+    # pairwise, so their exactly rounded sum is 0 (a rounded running sum need not be)
+    assert fsum(rule.weights * rule.nodes ** 7) == 0.0
 
 
 def test_gh_exactness_boundary():

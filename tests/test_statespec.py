@@ -109,6 +109,20 @@ def test_raw_rejects_all_zero():
         parse_state_spec("raw c[0,0]=0")
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "raw", "coeffs": 5}',                       # not a list
+    '{"kind": "raw", "coeffs": [[-1, 0, "1"], [0, 0, "1"]]}',  # negative index
+    '{"kind": "eigenstate", "N": 2.7, "l0": 0}',           # float for an int
+    '{"kind": "eigenstate", "N": true, "l0": 1}',          # boolean for an int
+    '{"kind": "eigenstate", "N": 2, "l0": 0, "M": 1}',     # unknown key
+    "raw c[0,0]=nan c[1,1]=1",                             # non-finite coefficient
+    "superposition l1=3 l2=-3 phi0=nan Nmax=9",            # non-finite parameter
+])
+def test_spec_holes_rejected(text):
+    with pytest.raises(SpecParseError):
+        parse_state_spec(text)
+
+
 def test_json_missing_kind():
     with pytest.raises(SpecParseError):
         parse_state_spec(json.dumps({"N": 2}))
