@@ -1,7 +1,8 @@
 """Command-line surface: grid computation, marginals, and oracle checks.
 
 Exit codes: 0 success, 2 spec parse error, 3 precondition violation,
-4 numerical-tolerance failure.  Output is byte-deterministic for fixed inputs.
+4 numerical-contract failure (a tolerance, or a state past MAX_TOTAL_ORDER).
+Output is byte-deterministic for fixed inputs.
 """
 
 import argparse
@@ -173,14 +174,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         spec = parse_state_spec(args.state)
-    except SpecParseError as e:
-        print(_error_record(EXIT_PARSE, e), file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as e:
-        print(_error_record(EXIT_PRECONDITION, e), file=sys.stderr)
-        return EXIT_PRECONDITION
-
-    try:
         state = build_state(spec)
         if args.command == "wigner-cyl":
             order = args.quad_order
@@ -191,6 +184,9 @@ def main(argv=None):
                               args.lmax, order)
             return cmd_wigner_cyl(spec, state, req, args.out, args.format)
         return cmd_oracle_check(state, args.n_points, args.seed)
+    except SpecParseError as e:
+        print(_error_record(EXIT_PARSE, e), file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as e:
         print(_error_record(EXIT_PRECONDITION, e), file=sys.stderr)
         return EXIT_PRECONDITION

@@ -5,6 +5,11 @@ combinations x+ + x- and p+ - p-; its Fock overlaps are bivariate Hermite
 polynomials under a Gaussian envelope.  A state's wavefunction in this
 representation, Psi(xi, phi) = <xi e^{-i phi}|Psi>, is the object the
 cylindrical Wigner transform integrates.
+
+A state's amplitude polynomial is evaluated from its cached diagonal table
+(``TwoModeFock.amplitude_table``): one polynomial in u = lam lam_bar per OAM
+value, times a power of lam or lam_bar.  The explicit Hermite sum is used
+only for single Fock overlaps (:func:`xi_fock_overlap`).
 """
 
 from dataclasses import dataclass
@@ -12,7 +17,7 @@ from math import lgamma, pi
 
 import numpy as np
 
-from .specfun import hermite2, hermite2_general, laguerre
+from .specfun import hermite2, laguerre
 
 
 @dataclass(frozen=True)
@@ -40,23 +45,43 @@ def xi_fock_overlap(xi, n_plus, n_minus):
     return np.exp(-np.abs(xi) ** 2 / 2.0) * norm * hermite2(n_minus, n_plus, xi)
 
 
+def amplitude_diagonals(s, lam, lam_bar, conjugated=False):
+    """The terms of amplitude_polynomial, one per occupied diagonal offset.
+
+    Yields ``(d, lam^d p_d(u))`` (``lam_bar^-d p_d(u)`` for d < 0) for each
+    entry of ``s.amplitude_table``, with u = lam lam_bar evaluated by Horner's
+    rule.  The bra side (``conjugated``) reads the same table with negated
+    offsets and conjugated coefficients.  Rotating the arguments to
+    (lam e^{-i phi}, lam_bar e^{i phi}) leaves u alone and multiplies term d
+    by e^{-i d phi}, which is how the cylindrical kernel factors out phi.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    lam_bar = np.asarray(lam_bar, dtype=complex)
+    u = lam * lam_bar
+    for d, p in s.amplitude_table:
+        if conjugated:
+            d, p = -d, p.conj()
+        term = np.full(u.shape, p[0])
+        for c in p[1:]:
+            term = term * u + c
+        if d > 0:
+            term = lam ** d * term
+        elif d < 0:
+            term = lam_bar ** -d * term
+        yield d, term
+
+
 def amplitude_polynomial(s, lam, lam_bar, conjugated=False):
     """Polynomial part of the entangled wavefunction, envelope stripped.
 
     With ``lam = xi e^{-i phi}`` and ``lam_bar = conj(lam)`` this is
-    Psi(xi, phi) / exp(-|xi|^2 / 2).  The two arguments are independent so
-    the same code serves the analytically continued integrand of the
+    Psi(xi, phi) / exp(-|xi|^2 / 2), the sum of c[n+, n-] H_{n-, n+}(lam,
+    lam_bar) / sqrt(n+! n-!).  The two arguments are independent so the
+    same code serves the analytically continued integrand of the
     cylindrical transform; ``conjugated`` selects the bra-side variant
     (conjugate coefficients, swapped Hermite indices).
     """
-    out = 0.0 + 0.0j
-    for np_, nm, c in s.support():
-        norm = np.exp(-0.5 * (lgamma(np_ + 1) + lgamma(nm + 1)))
-        if conjugated:
-            out = out + np.conj(c) * norm * hermite2_general(np_, nm, lam, lam_bar)
-        else:
-            out = out + c * norm * hermite2_general(nm, np_, lam, lam_bar)
-    return out
+    return sum(term for _, term in amplitude_diagonals(s, lam, lam_bar, conjugated))
 
 
 def psi_entangled(s, at):

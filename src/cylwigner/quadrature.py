@@ -2,11 +2,13 @@
 
 Nodes and weights are generated by the Golub-Welsch eigenvalue method from
 the Jacobi matrix of the orthogonal-polynomial family, so arbitrary orders
-are available without tabulation.
+are available without tabulation.  Rules are immutable, so each is built
+once per argument tuple and then shared.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import sqrt, pi
 
 import numpy as np
@@ -42,6 +44,7 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+@lru_cache(maxsize=128)
 def gauss_hermite(order):
     """Gauss-Hermite rule for weight e^{-t^2} with exactly symmetric nodes."""
     if not 1 <= order <= MAX_ORDER:
@@ -58,6 +61,7 @@ def gauss_hermite(order):
     return QuadratureRule(QuadKind.GAUSS_HERMITE, order, nodes, weights)
 
 
+@lru_cache(maxsize=128)
 def gauss_legendre_mapped(order, r_min, r_max):
     """Gauss-Legendre rule mapped affinely onto [r_min, r_max], r_min > 0.
 

@@ -4,17 +4,25 @@ Two families are needed: the bivariate (two-variable) Hermite polynomials
 H_{m,n}, which carry the Fock-basis expansion of the EPR-type eigenstates,
 and the generalized Laguerre polynomials L_p^alpha, which show up both in
 the closed-form OAM eigenstate profiles and in displaced-Fock overlaps.
+
+A whole Fock table's Hermite combination is kept in diagonal form
+(:func:`hermite2_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
+i - j = m - n, so the combination is a short list of offsets d, each with a
+polynomial in u = lam lam_bar.
 """
 
-from math import lgamma
+from math import comb, factorial, lgamma, sqrt
 
 import numpy as np
 
 from .errors import OrderBoundError
 
-#: Largest supported m + n for the bivariate Hermite sum.  Log-factorial
-#: accumulation keeps every term finite well past this, but we have not
-#: validated accuracy beyond it.
+#: Largest supported m + n (total quanta n+ + n-).  Enforced for every
+#: Hermite call, when a state's diagonal table is built, and when a state
+#: spec is built, before any table is allocated.  The coefficients stay
+#: finite far past it, but the contour-shifted cylindrical sum loses
+#: accuracy long before it: up to about 2e-6 relative at 20 total quanta,
+#: wrong values from about 30 (see the roadmap's accuracy item).
 MAX_TOTAL_ORDER = 60
 
 
@@ -49,6 +57,37 @@ def hermite2_general(m, n, lam, lam_bar):
     if total.ndim == 0:
         return complex(total)
     return total
+
+
+def hermite2_diagonals(coeffs):
+    """Sum of coeffs[m, n] H_{n,m}(lam, lam_bar) / sqrt(m! n!) in diagonal form.
+
+    Returns ``((d, p_d), ...)`` over the occupied offsets d = n - m in
+    ascending order, where p_d holds the coefficients of a polynomial in
+    u = lam lam_bar, highest power first, and the sum equals
+    Sum_d lam^d p_d(u) (lam_bar^-d p_d(u) for d < 0).  This is the Fock
+    expansion of an entangled-basis amplitude with coeffs[n+, n-]: one
+    offset per OAM value n+ - n- = -d, of degree at most min(n+, n-).
+    """
+    coeffs = np.asarray(coeffs)
+    support = np.argwhere(coeffs != 0)
+    if len(support):
+        _check_indices(0, int(support.sum(axis=1).max()))
+    parts = {}
+    for m, n in support.tolist():
+        # H_{n,m} = lam^(n-m) Sum_k (-1)^k C(m,k) C(n,k) k! u^(min - k) for n >= m
+        scale = complex(coeffs[m, n]) / sqrt(factorial(m) * factorial(n))
+        parts.setdefault(n - m, []).append(
+            [(-1) ** k * comb(m, k) * comb(n, k) * factorial(k) * scale
+             for k in range(min(m, n) + 1)])
+    table = []
+    for d in sorted(parts):
+        p = np.zeros(max(len(v) for v in parts[d]), dtype=complex)
+        for v in parts[d]:
+            p[len(p) - len(v):] += v
+        p.setflags(write=False)
+        table.append((d, p))
+    return tuple(table)
 
 
 def hermite2(m, n, lam):

@@ -8,8 +8,9 @@ Two input grammars are accepted: a compact one-line key=value form,
     raw c[0,0]=0.6 c[1,1]=0.8j
 
 and a JSON object with a "kind" field and the same parameter names.
-Parsing validates the constructor preconditions (parity, ranges) so a
-spec that parses is a spec that builds.
+Parsing validates the constructor preconditions (parity, ranges) and the
+total-quanta bound MAX_TOTAL_ORDER, so a spec that parses is a spec that
+builds, and an oversized one is refused before its table is allocated.
 """
 
 import cmath
@@ -20,8 +21,10 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import SpecParseError
-from .twomode import TwoModeFock, make_N_l_eigenstate, make_summed_oam, make_superposition
+from .errors import OrderBoundError, SpecParseError
+from .specfun import MAX_TOTAL_ORDER
+from .twomode import (TwoModeFock, check_eigenpair, make_N_l_eigenstate, make_summed_oam,
+                      make_superposition, summed_top_quanta)
 
 
 class StateKind(Enum):
@@ -37,7 +40,8 @@ class StateSpec:
     params: dict
 
     def validate(self):
-        """Check constructor preconditions; raises ValueError naming them."""
+        """Check constructor preconditions (ValueError naming them) and the
+        total-quanta bound (OrderBoundError)."""
         build_state(self)
         return self
 
@@ -49,8 +53,29 @@ _REQUIRED = {
 }
 
 
+def _total_quanta(spec):
+    """Largest n+ + n- of the spec's state, from the constructors' checks alone."""
+    p = spec.params
+    if spec.kind is StateKind.EIGENSTATE:
+        check_eigenpair(p["N"], p["l0"])
+        return p["N"]
+    if spec.kind is StateKind.SUMMED_OAM:
+        return summed_top_quanta(p["l0"], p["Nmax"])
+    if spec.kind is StateKind.SUPERPOSITION:
+        return max(summed_top_quanta(p[k], p["Nmax"]) for k in ("l1", "l2"))
+    return max((i + j for (i, j), c in p["coeffs"].items() if c != 0), default=0)
+
+
 def build_state(spec):
-    """Construct the TwoModeFock described by a spec."""
+    """Construct the TwoModeFock described by a spec.
+
+    The total quanta are checked against MAX_TOTAL_ORDER first, so an
+    oversized spec raises OrderBoundError without allocating its table.
+    """
+    quanta = _total_quanta(spec)
+    if quanta > MAX_TOTAL_ORDER:
+        raise OrderBoundError(
+            f"state has {quanta} total quanta; the supported bound is {MAX_TOTAL_ORDER}")
     p = spec.params
     if spec.kind is StateKind.EIGENSTATE:
         return make_N_l_eigenstate(p["N"], p["l0"])
@@ -58,8 +83,9 @@ def build_state(spec):
         return make_summed_oam(p["l0"], p["Nmax"])
     if spec.kind is StateKind.SUPERPOSITION:
         return make_superposition(p["l1"], p["l2"], p["phi0"], p["Nmax"])
-    entries = p["coeffs"]
-    cut = max(max(i, j) for i, j in entries)
+    # zero entries do not size the table: c[10**8,0]=0 must not allocate it
+    entries = {ij: c for ij, c in p["coeffs"].items() if c != 0}
+    cut = max((max(ij) for ij in entries), default=0)
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
     for (i, j), c in entries.items():
         table[i, j] = c

@@ -14,7 +14,7 @@ from math import comb, exp, lgamma, pi, sqrt
 import numpy as np
 
 from .errors import QuadratureResidueError, TruncationWarning
-from .specfun import laguerre
+from .specfun import hermite2_diagonals, laguerre
 
 _NORM_TOL = 1e-10
 
@@ -44,7 +44,7 @@ class TwoModeFock:
     def is_normalized(self):
         return abs(self.norm - 1.0) <= _NORM_TOL
 
-    @property
+    @cached_property
     def max_total_quanta(self):
         """Largest n+ + n- with a nonzero coefficient."""
         idx = np.argwhere(np.abs(self.coeffs) > 0)
@@ -56,6 +56,16 @@ class TwoModeFock:
     def xy_coeffs(self):
         """The table over (n_x, n_y), computed once; the 4D evaluator runs in loops."""
         return _to_xy(self)
+
+    @cached_property
+    def amplitude_table(self):
+        """The entangled-basis amplitude in diagonal form, computed once.
+
+        ``((d, p_d), ...)`` from :func:`specfun.hermite2_diagonals`: one
+        offset d = n- - n+ per OAM value, with a polynomial p_d in
+        u = lam lam_bar.  Raises OrderBoundError past MAX_TOTAL_ORDER.
+        """
+        return hermite2_diagonals(self.coeffs)
 
     def support(self):
         """Iterate over (n_plus, n_minus, coefficient) for nonzero entries."""
@@ -77,17 +87,29 @@ class CartesianPoint4:
                 raise ValueError("phase-space coordinates must be finite")
 
 
-def make_N_l_eigenstate(N, l0):
-    """Joint eigenstate |N, l0> of total number and OAM.
-
-    A single basis vector at n+ = (N + l0)/2, n- = (N - l0)/2.
-    """
+def check_eigenpair(N, l0):
+    """The preconditions of make_N_l_eigenstate, checked without building a table."""
     if N < 0:
         raise ValueError("N must be non-negative")
     if abs(l0) > N:
         raise ValueError(f"range: |l0| = {abs(l0)} exceeds N = {N}")
     if (N - abs(l0)) % 2 != 0:
         raise ValueError(f"parity: N - |l0| = {N - abs(l0)} must be even")
+
+
+def summed_top_quanta(l0, Nmax):
+    """Largest N in make_summed_oam(l0, Nmax), after its range check; builds no table."""
+    if Nmax < abs(l0):
+        raise ValueError(f"range: Nmax = {Nmax} is below |l0| = {abs(l0)}")
+    return Nmax - (Nmax - abs(l0)) % 2
+
+
+def make_N_l_eigenstate(N, l0):
+    """Joint eigenstate |N, l0> of total number and OAM.
+
+    A single basis vector at n+ = (N + l0)/2, n- = (N - l0)/2.
+    """
+    check_eigenpair(N, l0)
     np_, nm = (N + l0) // 2, (N - l0) // 2
     cut = max(np_, nm)
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
@@ -101,11 +123,10 @@ def make_summed_oam(l0, Nmax):
     The untruncated sum is not normalizable, so the truncation Nmax is an
     explicit, mandatory parameter.
     """
-    if Nmax < abs(l0):
-        raise ValueError(f"range: Nmax = {Nmax} is below |l0| = {abs(l0)}")
+    top = summed_top_quanta(l0, Nmax)
     cut = (Nmax + abs(l0)) // 2
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
-    for N in range(abs(l0), Nmax + 1, 2):
+    for N in range(abs(l0), top + 1, 2):
         table[(N + l0) // 2, (N - l0) // 2] = 1.0 / sqrt(N + 1)
     return TwoModeFock(table / np.linalg.norm(table))
 

@@ -102,6 +102,15 @@ def test_byte_determinism(tmp_path, capsys):
     assert len(a.read_bytes()) > 0
 
 
+@pytest.mark.parametrize("state", [
+    "eigenstate N=62 l0=0", "eigenstate N=3000 l0=0", "raw c[100000000,0]=1",
+])
+def test_order_bound_exit_4(capsys, state):
+    code, _, err = run(capsys, ["wigner-cyl", "--state", state, "--nr", "1", "--nphi", "1"])
+    assert code == 4
+    assert json.loads(err)["error"] == "OrderBoundError"
+
+
 def test_quad_order_too_small_exit_4(capsys):
     code, _, err = run(capsys, [
         "wigner-cyl", "--state", "summed l0=0 Nmax=20", "--r-min", "0.5",

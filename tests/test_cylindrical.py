@@ -4,12 +4,13 @@ from math import exp, pi, sqrt
 import numpy as np
 import pytest
 
-from cylwigner import (KAPPA, CylGrid, CylPoint, TwoModeFock, gauss_hermite,
-                       gauss_legendre_mapped, make_N_l_eigenstate,
+from cylwigner import (KAPPA, CylGrid, CylPoint, TwoModeFock, cylindrical,
+                       gauss_hermite, gauss_legendre_mapped, make_N_l_eigenstate,
                        make_summed_oam, make_superposition, marginal_angle_oam,
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
-from cylwigner.errors import ConvergenceError, QuadratureOrderError
+from cylwigner.errors import ConvergenceError, OrderBoundError, QuadratureOrderError
+from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
 def vacuum_state():
@@ -98,6 +99,29 @@ def test_grid_matches_pointwise(rng):
                 assert grid.values[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
 
 
+def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):
+    s = random_state(rng, cutoff=3)  # seven OAM offsets
+    assert len(s.amplitude_table) >= 3
+    r_nodes = [0.3, 0.9, 1.7]
+    phi_nodes = np.linspace(0, 2 * pi, 7, endpoint=False)
+    ells = [-2, 0, 1, 3]
+    grid = wigner_cyl_grid(s, r_nodes, phi_nodes, ells).values
+    # the kernel's row blocks of a few rows each cut through the grid's rows
+    monkeypatch.setattr(cylindrical, "_BLOCK", 3 * len(phi_nodes) * (s.max_total_quanta + 4))
+    assert np.array_equal(wigner_cyl_grid(s, r_nodes, phi_nodes, ells).values, grid)
+    for i, r in enumerate(r_nodes):
+        for j, phi in enumerate(phi_nodes):
+            for k, ell in enumerate(ells):
+                assert grid[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
+
+
+def test_order_bound_holds_at_evaluation():
+    s = make_N_l_eigenstate(MAX_TOTAL_ORDER + 2, 0)
+    for pt in (CylPoint(1.0, 0.0, 0), CylPoint(1e-6, 0.0, 3)):  # the second underflows
+        with pytest.raises(OrderBoundError):
+            wigner_cyl(s, pt)
+
+
 def test_grid_across_underflow_region():
     # degree 40: without the underflow bail-out, bra * ket overflows at r = 1e-9
     s = make_summed_oam(0, 20)
@@ -159,6 +183,9 @@ def test_marginal_radial_errors():
     s = vacuum_state()
     with pytest.raises(ValueError):
         marginal_radial(s, 0.0, 4)
+    for state in (s, make_summed_oam(0, 4), make_superposition(1, -1, 0.0, 3)):
+        with pytest.raises(ValueError, match="ell_max"):
+            marginal_radial(state, 1.0, -1)
     with pytest.raises(ConvergenceError):
         marginal_radial(s, 2.0, 1)
 

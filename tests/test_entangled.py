@@ -1,4 +1,4 @@
-from math import pi
+from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
@@ -6,7 +6,10 @@ import pytest
 from cylwigner import (EntangledArg, TwoModeFock, gauss_hermite,
                        laguerre_gauss_profile, make_N_l_eigenstate,
                        psi_entangled, rotate_state, xi_fock_overlap)
+from cylwigner.entangled import amplitude_polynomial
+from cylwigner.errors import OrderBoundError
 from cylwigner.quadrature import deweighted
+from cylwigner.specfun import MAX_TOTAL_ORDER, hermite2_general
 
 
 def random_state(rng, cutoff=3):
@@ -126,3 +129,42 @@ def test_unnormalized_state_rejected():
     s = TwoModeFock(np.array([[2.0]], dtype=complex))
     with pytest.raises(ValueError):
         psi_entangled(s, EntangledArg(0.1))
+
+
+def explicit_amplitude(s, lam, lam_bar, conjugated=False):
+    """The per-entry Hermite sum the diagonal table replaces."""
+    out = 0.0
+    for np_, nm, c in s.support():
+        norm = 1.0 / sqrt(factorial(np_) * factorial(nm))
+        if conjugated:
+            out = out + np.conj(c) * norm * hermite2_general(np_, nm, lam, lam_bar)
+        else:
+            out = out + c * norm * hermite2_general(nm, np_, lam, lam_bar)
+    return out
+
+
+def test_amplitude_table_matches_explicit_hermite_sum(rng):
+    for _ in range(5):
+        s = random_state(rng, cutoff=3)  # OAM offsets -3..3
+        assert len(s.amplitude_table) >= 3
+        # independent complex arguments, as on the shifted contour, not a conjugate pair
+        lam = rng.uniform(-2, 2, size=40) + 1j * rng.uniform(-2, 2, size=40)
+        lam_bar = rng.uniform(-2, 2, size=40) + 1j * rng.uniform(-2, 2, size=40)
+        for conjugated in (False, True):
+            got = amplitude_polynomial(s, lam, lam_bar, conjugated)
+            want = explicit_amplitude(s, lam, lam_bar, conjugated)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_amplitude_table_layout():
+    s = TwoModeFock(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]]))
+    # c[0,1] has OAM -1 (offset 1, degree 0); c[2,2] has OAM 0 (offset 0, degree 2)
+    assert [(d, len(p)) for d, p in s.amplitude_table] == [(0, 3), (1, 1)]
+    assert s.amplitude_table is s.amplitude_table
+
+
+def test_amplitude_table_order_bound():
+    s = make_N_l_eigenstate(MAX_TOTAL_ORDER + 2, 0)
+    with pytest.raises(OrderBoundError):
+        s.amplitude_table
+    assert len(make_N_l_eigenstate(MAX_TOTAL_ORDER, 0).amplitude_table) == 1

@@ -99,3 +99,13 @@ def test_rules_are_immutable():
         rule.nodes[0] = 1.0
     with pytest.raises((AttributeError, TypeError)):
         rule.order = 9
+
+
+def test_rules_are_memoized():
+    rule = gauss_hermite(12)
+    assert gauss_hermite(12) is rule
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+    mapped = gauss_legendre_mapped(32, 0.1, 8.0)
+    assert gauss_legendre_mapped(32, 0.1, 8.0) is mapped
+    assert not mapped.nodes.flags.writeable
+    assert gauss_legendre_mapped(32, 0.1, 9.0) is not mapped

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from cylwigner import (StateKind, StateSpec, build_state, make_N_l_eigenstate,
                        make_summed_oam, make_superposition, parse_state_spec,
                        serialize_state_spec)
-from cylwigner.errors import SpecParseError
+from cylwigner.errors import OrderBoundError, SpecParseError
+from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
 def test_parse_eigenstate():
@@ -107,6 +109,41 @@ def test_json_error_reports_location():
 def test_raw_rejects_all_zero():
     with pytest.raises(ValueError):
         parse_state_spec("raw c[0,0]=0")
+    with pytest.raises(ValueError):
+        parse_state_spec("raw c[100000000,0]=0")
+
+
+@pytest.mark.parametrize("text", [
+    "eigenstate N=3000 l0=0",                       # a 1501 x 1501 table if built
+    "eigenstate N=60000 l0=0",                      # 13.4 GiB (left untouched by zeros)
+    "summed l0=0 Nmax=5000",
+    "superposition l1=1 l2=-1 phi0=0 Nmax=4001",
+    "raw c[100000000,0]=1",
+    '{"kind": "raw", "coeffs": [[0, 0, "1"], [40, 21, "1"]]}',
+])
+def test_oversized_spec_rejected_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderBoundError):
+            parse_state_spec(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_order_bound_is_on_total_quanta():
+    # Nmax = MAX + 1 only reaches MAX quanta with this parity; it builds
+    s = build_state(parse_state_spec(f"summed l0=0 Nmax={MAX_TOTAL_ORDER + 1}"))
+    assert s.max_total_quanta == MAX_TOTAL_ORDER
+    # a zero entry past the bound neither counts nor sizes the table
+    s = build_state(parse_state_spec("raw c[0,0]=1 c[100000000,0]=0"))
+    assert s.coeffs.shape == (1, 1)
+    # precondition errors keep precedence over the bound
+    with pytest.raises(ValueError, match="parity"):
+        parse_state_spec(f"eigenstate N={MAX_TOTAL_ORDER + 1} l0=0")
+    with pytest.raises(ValueError, match="range"):
+        parse_state_spec("summed l0=101 Nmax=100")
 
 
 @pytest.mark.parametrize("text", [
