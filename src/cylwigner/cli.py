@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cylindrical import (KAPPA, CylPoint, default_rule, gauss_hermite,
+from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylPoint, default_rule, gauss_hermite,
                           oracle_cyl_from_cartesian, wigner_cyl, wigner_cyl_grid)
 from .errors import CylWignerError, SpecParseError
 from .statespec import build_state, parse_state_spec, serialize_state_spec
@@ -24,6 +24,9 @@ EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
 
 ORACLE_SPREAD_TOL = 1e-6
+#: oracle-check draws r uniformly from this range and ell from -span..span
+ORACLE_R_RANGE = (0.5, 2.2)
+ORACLE_ELL_SPAN = 3
 
 
 @dataclass(frozen=True)
@@ -101,35 +104,32 @@ def cmd_wigner_cyl(spec, state, req, out_path, fmt="csv"):
     return EXIT_OK
 
 
-def cmd_oracle_check(state, n_points=10, seed=0, r_range=(0.5, 2.2), ell_span=3,
-                     stream=None):
+def cmd_oracle_check(state, n_points=10, seed=0):
     """Compare the two evaluation routes at random points; report the ratios."""
-    stream = stream or sys.stdout
     rng = np.random.default_rng(seed)
     gh = default_rule(state)
     pr_rule = gauss_hermite(state.max_total_quanta + 8)
     ratios = []
     for _ in range(n_points):
-        pt = CylPoint(rng.uniform(*r_range), rng.uniform(0, 2 * np.pi),
-                      int(rng.integers(-ell_span, ell_span + 1)))
+        pt = CylPoint(rng.uniform(*ORACLE_R_RANGE), rng.uniform(0, 2 * np.pi),
+                      int(rng.integers(-ORACLE_ELL_SPAN, ORACLE_ELL_SPAN + 1)))
         direct = wigner_cyl(state, pt, gh)
         brute = oracle_cyl_from_cartesian(state, pt, pr_rule)
         if abs(brute) < 1e-12:
-            stream.write(f"r={pt.r:.4f} phi={pt.phi:.4f} ell={pt.ell:+d}  "
-                         "skipped (both routes vanish)\n")
+            print(f"r={pt.r:.4f} phi={pt.phi:.4f} ell={pt.ell:+d}  "
+                  "skipped (both routes vanish)")
             continue
         ratio = direct / brute
         ratios.append(ratio)
-        stream.write(f"r={pt.r:.4f} phi={pt.phi:.4f} ell={pt.ell:+d}  "
-                     f"ratio={ratio:.12f}\n")
+        print(f"r={pt.r:.4f} phi={pt.phi:.4f} ell={pt.ell:+d}  ratio={ratio:.12f}")
     if not ratios:
-        stream.write("no usable points\n")
+        print("no usable points")
         return EXIT_TOLERANCE
     ratios = np.array(ratios)
     spread = (ratios.max() - ratios.min()) / abs(ratios.mean())
     ok = spread <= ORACLE_SPREAD_TOL
-    stream.write(f"kappa={ratios.mean():.12f} (reference {KAPPA:.12f}) "
-                 f"spread={spread:.3e} -> {'PASS' if ok else 'FAIL'}\n")
+    print(f"kappa={ratios.mean():.12f} (reference {KAPPA:.12f}) "
+          f"spread={spread:.3e} -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -150,7 +150,7 @@ def build_parser():
 
     g = sub.add_parser("wigner-cyl", parents=[common],
                        help="evaluate W(r, phi, ell) on a grid and export it")
-    g.add_argument("--r-min", type=float, default=1e-3)
+    g.add_argument("--r-min", type=float, default=DEFAULT_R_MIN)
     g.add_argument("--r-max", type=float, default=6.0)
     g.add_argument("--nr", type=int, default=64)
     g.add_argument("--nphi", type=int, default=64)

@@ -17,6 +17,8 @@ the shifted contour it depends on (r, ell, t) only through u = r^2 +
 (t + i ell/r)^2 and one power of xi per OAM value, while phi enters as one
 phase per OAM value.  So W is a trigonometric polynomial in phi, and the
 kernel evaluates the table once per (r, ell, node) for a whole phi axis.
+A state is normalized and within MAX_TOTAL_ORDER by construction
+(``TwoModeFock``), so the kernel checks only its points and its rule.
 
 An independent brute-force check integrates the 4D Cartesian Wigner
 function over the radial momentum along the ray (r, phi); the two routes
@@ -57,6 +59,8 @@ class CylPoint:
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r > 0):
             raise ValueError("r must be strictly positive")
+        if not np.isfinite(self.phi):
+            raise ValueError("phi must be finite")
         if int(self.ell) != self.ell:
             raise ValueError("ell must be an integer")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * pi))
@@ -116,18 +120,18 @@ def _evaluate(s, r, ell, phi, rule):
     """
     r, ell = (a.ravel() for a in np.broadcast_arrays(np.asarray(r, dtype=float),
                                                      np.asarray(ell)))
-    phi = np.mod(np.asarray(phi, dtype=float).ravel(), 2.0 * pi)
+    phi = np.asarray(phi, dtype=float).ravel()
     if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("r must be strictly positive")
+    if not np.isfinite(phi).all():
+        raise ValueError("phi must be finite")
     if not (np.mod(ell, 1) == 0).all():
         raise ValueError("ell must be an integer")
-    if not s.is_normalized:
-        raise ValueError("state must be normalized")
+    phi = np.mod(phi, 2.0 * pi)
     max_quanta = s.max_total_quanta
     if rule is None:
         rule = default_rule(s)
     _check_rule(rule, max_quanta)
-    s.amplitude_table  # built here: the order bound holds even where every row underflows
 
     # where the envelope underflows, bail out before the polynomial part overflows;
     # at a subnormal r the exponent is inf and inf - bound may be nan: both bail out
@@ -206,17 +210,16 @@ def marginal_radial(s, r, ell_max):
 
     Plain dr measure (no r Jacobian), matching the angle-OAM marginal's
     literal convention.  The phi integral is a uniform rule, exact for the
-    trigonometric polynomial W is in phi.
+    trigonometric polynomial W is in phi: its frequencies are differences
+    of two table offsets, so span + 1 nodes suffice, one for a state with a
+    single OAM value.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
-    if len(s.amplitude_table) == 1:
-        # an OAM eigenstate has exactly phi-independent W: one point per ring
-        phis, wphi = 0.0, 2.0 * pi
-    else:
-        n_phi = 4 * s.max_total_quanta + 5
-        phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
-        wphi = 2.0 * pi / n_phi
+    table = s.amplitude_table
+    n_phi = table[-1][0] - table[0][0] + 1
+    wphi = 2.0 * pi / n_phi
+    phis = wphi * np.arange(n_phi)  # linspace(0, 2pi, n_phi, endpoint=False), bit for bit
     vals = _evaluate(s, r, np.arange(-ell_max, ell_max + 1), phis, None)
     rings = [wphi * sum(row) for row in vals.tolist()]
     total = sum(rings)
@@ -237,8 +240,6 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     of a truncated state is a polynomial under a Gaussian in p_r.  The
     ratio wigner_cyl / oracle is the single global constant KAPPA.
     """
-    if not s.is_normalized:
-        raise ValueError("state must be normalized")
     if pr_rule.kind is not QuadKind.GAUSS_HERMITE:
         raise ValueError("p_r integration requires a Gauss-Hermite rule")
     r, phi, ell = at.r, at.phi, at.ell

@@ -86,8 +86,6 @@ def amplitude_polynomial(s, lam, lam_bar, conjugated=False):
 
 def psi_entangled(s, at):
     """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>."""
-    if not s.is_normalized:
-        raise ValueError("state must be normalized")
     z = at.xi * np.exp(-1j * at.phi)
     return complex(np.exp(-abs(at.xi) ** 2 / 2.0) * amplitude_polynomial(s, z, np.conj(z)))
 

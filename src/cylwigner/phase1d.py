@@ -55,12 +55,9 @@ class WaveFunction1D:
     """
 
     evaluator: Callable
-    domain_halfwidth: float = 12.0
     normalized: bool = True
 
     def __post_init__(self):
-        if self.domain_halfwidth <= 0:
-            raise ValueError("domain_halfwidth must be positive")
         if self.normalized:
             rule = gauss_hermite(_NORM_RULE_ORDER)
             norm = np.sum(deweighted(rule) * np.abs(self(rule.nodes)) ** 2)
@@ -118,12 +115,12 @@ def displace(psi, x0, p0):
         x = np.asarray(x)
         return np.exp(1j * p0 * (x - x0 / 2.0)) * np.asarray(ev(x - x0), dtype=complex)
 
-    return WaveFunction1D(shifted, psi.domain_halfwidth, psi.normalized)
+    return WaveFunction1D(shifted, psi.normalized)
 
 
-def inner_product(psi1, psi2, order=_NORM_RULE_ORDER):
+def inner_product(psi1, psi2):
     """<psi1|psi2> by de-weighted Gauss-Hermite quadrature."""
-    rule = gauss_hermite(order)
+    rule = gauss_hermite(_NORM_RULE_ORDER)
     return complex(np.sum(deweighted(rule) * np.conj(psi1(rule.nodes)) * psi2(rule.nodes)))
 
 
@@ -172,6 +169,10 @@ class Axis(Enum):
 # pi/16, hence the large inner Gauss-Hermite order.
 _WINDOW = 8.0
 _INNER_ORDER = 160
+# outer Gauss-Legendre orders over the window: of marginal_1d, and of each
+# axis of overlap_traciality's 2D integral
+_MARGINAL_ORDER = 96
+_OVERLAP_ORDER = 80
 
 
 def _legendre_symmetric(order, halfwidth):
@@ -179,13 +180,13 @@ def _legendre_symmetric(order, halfwidth):
     return halfwidth * x, halfwidth * w
 
 
-def marginal_1d(psi, axis, value, order=96):
+def marginal_1d(psi, axis, value):
     """Integrate the Wigner function over the axis complementary to ``axis``.
 
     With the MARGINAL convention this reproduces |psi(value)|^2 (axis X) or
     the momentum density |psi~(value)|^2 (axis P).
     """
-    nodes, ow = _legendre_symmetric(order, _WINDOW)
+    nodes, ow = _legendre_symmetric(_MARGINAL_ORDER, _WINDOW)
     inner = gauss_hermite(_INNER_ORDER)
     if axis is Axis.X:
         vals = _wigner_pvec(psi, value, nodes, inner)
@@ -200,7 +201,7 @@ def marginal_1d(psi, axis, value, order=96):
     return float(np.sum(ow * vals))
 
 
-def overlap_traciality(psi1, psi2, order=80):
+def overlap_traciality(psi1, psi2):
     """State overlap versus phase-space overlap.
 
     Returns ``(lhs, rhs)`` with lhs = |<psi1|psi2>|^2 by direct quadrature
@@ -208,7 +209,7 @@ def overlap_traciality(psi1, psi2, order=80):
     constant is fixed by the pure-state purity case.
     """
     lhs = abs(inner_product(psi1, psi2)) ** 2
-    nodes, gw = _legendre_symmetric(order, _WINDOW)
+    nodes, gw = _legendre_symmetric(_OVERLAP_ORDER, _WINDOW)
     inner = gauss_hermite(_INNER_ORDER)
     acc = 0.0
     for x, wx in zip(nodes, gw):

@@ -18,11 +18,12 @@ import numpy as np
 from .errors import OrderBoundError
 
 #: Largest supported m + n (total quanta n+ + n-).  Enforced for every
-#: Hermite call, when a state's diagonal table is built, and when a state
-#: spec is built, before any table is allocated.  The coefficients stay
-#: finite far past it, but the contour-shifted cylindrical sum loses
-#: accuracy long before it: up to about 2e-6 relative at 20 total quanta,
-#: wrong values from about 30 (see the roadmap's accuracy item).
+#: Hermite call here, and once per state when its table is built
+#: (``twomode.check_order_bound``; the constructors check it before they
+#: allocate).  The coefficients stay finite far past it, but the
+#: contour-shifted cylindrical sum loses accuracy long before it: up to
+#: about 2e-6 relative at 20 total quanta, wrong values from about 30 (see
+#: the roadmap's accuracy item).
 MAX_TOTAL_ORDER = 60
 
 
@@ -71,8 +72,6 @@ def hermite2_diagonals(coeffs):
     """
     coeffs = np.asarray(coeffs)
     support = np.argwhere(coeffs != 0)
-    if len(support):
-        _check_indices(0, int(support.sum(axis=1).max()))
     parts = {}
     for m, n in support.tolist():
         # H_{n,m} = lam^(n-m) Sum_k (-1)^k C(m,k) C(n,k) k! u^(min - k) for n >= m

@@ -4,6 +4,11 @@ States are stored as coefficient tables over (n_plus, n_minus), the photon
 numbers of the circular (chirality) mode pair in which both the total
 number N = n+ + n- and the OAM L = n+ - n- act diagonally.  The Cartesian
 x/y mode basis enters only through explicit basis rotations.
+
+A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta
+by construction: both are checked once, when the table is built, so no
+evaluator re-checks them.  The constructors check the bound on their top
+quanta before they allocate a table.
 """
 
 import warnings
@@ -13,15 +18,23 @@ from math import comb, exp, lgamma, pi, sqrt
 
 import numpy as np
 
-from .errors import QuadratureResidueError, TruncationWarning
-from .specfun import hermite2_diagonals, laguerre
+from .errors import OrderBoundError, QuadratureResidueError, TruncationWarning
+from .specfun import MAX_TOTAL_ORDER, hermite2_diagonals, laguerre
 
 _NORM_TOL = 1e-10
 
 
+def check_order_bound(quanta):
+    """Raise OrderBoundError if a state of this many total quanta is unsupported."""
+    if quanta > MAX_TOTAL_ORDER:
+        raise OrderBoundError(
+            f"state has {quanta} total quanta; the supported bound is {MAX_TOTAL_ORDER}")
+
+
 @dataclass(frozen=True)
 class TwoModeFock:
-    """Complex coefficient table c[n_plus, n_minus], 0 <= n <= cutoff."""
+    """Normalized complex coefficient table c[n_plus, n_minus], 0 <= n <= cutoff,
+    with at most MAX_TOTAL_ORDER total quanta."""
 
     coeffs: np.ndarray
 
@@ -31,6 +44,9 @@ class TwoModeFock:
             raise ValueError("coefficient table must be a square 2D array")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
+        if not self.is_normalized:
+            raise ValueError("state must be normalized")
+        check_order_bound(self.max_total_quanta)
 
     @property
     def cutoff(self):
@@ -63,7 +79,7 @@ class TwoModeFock:
 
         ``((d, p_d), ...)`` from :func:`specfun.hermite2_diagonals`: one
         offset d = n- - n+ per OAM value, with a polynomial p_d in
-        u = lam lam_bar.  Raises OrderBoundError past MAX_TOTAL_ORDER.
+        u = lam lam_bar.
         """
         return hermite2_diagonals(self.coeffs)
 
@@ -87,29 +103,18 @@ class CartesianPoint4:
                 raise ValueError("phase-space coordinates must be finite")
 
 
-def check_eigenpair(N, l0):
-    """The preconditions of make_N_l_eigenstate, checked without building a table."""
+def make_N_l_eigenstate(N, l0):
+    """Joint eigenstate |N, l0> of total number and OAM.
+
+    A single basis vector at n+ = (N + l0)/2, n- = (N - l0)/2.
+    """
     if N < 0:
         raise ValueError("N must be non-negative")
     if abs(l0) > N:
         raise ValueError(f"range: |l0| = {abs(l0)} exceeds N = {N}")
     if (N - abs(l0)) % 2 != 0:
         raise ValueError(f"parity: N - |l0| = {N - abs(l0)} must be even")
-
-
-def summed_top_quanta(l0, Nmax):
-    """Largest N in make_summed_oam(l0, Nmax), after its range check; builds no table."""
-    if Nmax < abs(l0):
-        raise ValueError(f"range: Nmax = {Nmax} is below |l0| = {abs(l0)}")
-    return Nmax - (Nmax - abs(l0)) % 2
-
-
-def make_N_l_eigenstate(N, l0):
-    """Joint eigenstate |N, l0> of total number and OAM.
-
-    A single basis vector at n+ = (N + l0)/2, n- = (N - l0)/2.
-    """
-    check_eigenpair(N, l0)
+    check_order_bound(N)
     np_, nm = (N + l0) // 2, (N - l0) // 2
     cut = max(np_, nm)
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
@@ -123,7 +128,10 @@ def make_summed_oam(l0, Nmax):
     The untruncated sum is not normalizable, so the truncation Nmax is an
     explicit, mandatory parameter.
     """
-    top = summed_top_quanta(l0, Nmax)
+    if Nmax < abs(l0):
+        raise ValueError(f"range: Nmax = {Nmax} is below |l0| = {abs(l0)}")
+    top = Nmax - (Nmax - abs(l0)) % 2
+    check_order_bound(top)
     cut = (Nmax + abs(l0)) // 2
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
     for N in range(abs(l0), top + 1, 2):
@@ -133,8 +141,9 @@ def make_summed_oam(l0, Nmax):
 
 def make_superposition(l1, l2, phi0, Nmax):
     """Equal-weight superposition of two summed-OAM states with relative phase."""
-    a = make_summed_oam(l1, Nmax)
-    b = make_summed_oam(l2, Nmax)
+    # the larger |l| first: its range check covers both, so it runs before any bound check
+    parts = {l: make_summed_oam(l, Nmax) for l in sorted((l1, l2), key=abs, reverse=True)}
+    a, b = parts[l1], parts[l2]
     dim = max(a.coeffs.shape[0], b.coeffs.shape[0])
     table = np.zeros((dim, dim), dtype=complex)
     table[: a.coeffs.shape[0], : a.coeffs.shape[1]] += a.coeffs
@@ -227,8 +236,6 @@ def wigner_4d(s, at):
     in the truncated basis through D(a) P D+(a) = D(2a) P per mode.  The
     vacuum gives exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.
     """
-    if not s.is_normalized:
-        raise ValueError("state must be normalized")
     cxy = s.xy_coeffs
     dim = cxy.shape[0]
     ax = (at.x + 1j * at.p_x) / sqrt(2.0)

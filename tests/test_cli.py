@@ -30,6 +30,17 @@ def test_single_point_vacuum_csv(capsys):
     assert any("state: raw c[0,0]=1" in ln for ln in header)
 
 
+@pytest.mark.parametrize("c", ["1e200", "1e-200", "3e-320"])
+def test_raw_spec_of_any_scale_exports_the_vacuum(capsys, c):
+    argv = ["wigner-cyl", "--r-min", "0.5", "--r-max", "1.5", "--nr", "2", "--nphi", "2",
+            "--lmax", "1"]
+    code, out, _ = run(capsys, argv + ["--state", f"raw c[0,0]={c}"])
+    assert code == 0
+    _, want, _ = run(capsys, argv + ["--state", VACUUM])
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert rows == [ln for ln in want.splitlines() if not ln.startswith("#")]
+
+
 def test_json_export_loads(capsys):
     code, out, _ = run(capsys, [
         "wigner-cyl", "--state", "eigenstate N=1 l0=1", "--r-min", "0.5",

@@ -52,6 +52,17 @@ def test_point_validation():
     assert CylPoint(1.0, 2 * pi + 0.3, -1).phi == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_phi_rejected(bad):
+    s = make_superposition(3, -3, 0.0, 4)
+    with pytest.raises(ValueError, match="phi"):
+        CylPoint(1.0, bad, 0)  # so wigner_cyl and the oracle never see one
+    with pytest.raises(ValueError, match="phi"):
+        wigner_cyl_grid(s, [1.0], [0.0, bad], [0])
+    with pytest.raises(ValueError, match="phi"):
+        marginal_angle_oam(s, bad, 0, gauss_legendre_mapped(32, 1e-3, 6.0))
+
+
 def test_rule_degree_check():
     s = make_summed_oam(0, 12)  # max_total_quanta 12
     with pytest.raises(QuadratureOrderError):
@@ -61,9 +72,9 @@ def test_rule_degree_check():
 
 
 def test_unnormalized_state_rejected():
-    s = TwoModeFock(np.array([[0.5]], dtype=complex))
-    with pytest.raises(ValueError):
-        wigner_cyl(s, CylPoint(1.0, 0.0, 0))
+    # normalization is checked once, when the state is built
+    with pytest.raises(ValueError, match="normalized"):
+        TwoModeFock(np.array([[0.5]], dtype=complex))
 
 
 def test_rotational_covariance(rng):
@@ -116,10 +127,16 @@ def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):
 
 
 def test_order_bound_holds_at_evaluation():
-    s = make_N_l_eigenstate(MAX_TOTAL_ORDER + 2, 0)
-    for pt in (CylPoint(1.0, 0.0, 0), CylPoint(1e-6, 0.0, 3)):  # the second underflows
-        with pytest.raises(OrderBoundError):
-            wigner_cyl(s, pt)
+    # a state past the bound cannot be built, so no evaluation can see one
+    with pytest.raises(OrderBoundError):
+        make_N_l_eigenstate(MAX_TOTAL_ORDER + 2, 0)
+    table = np.zeros((MAX_TOTAL_ORDER // 2 + 2,) * 2, dtype=complex)
+    table[-1, -2] = 1.0  # MAX_TOTAL_ORDER + 1 quanta
+    with pytest.raises(OrderBoundError):
+        TwoModeFock(table)
+    s = make_N_l_eigenstate(MAX_TOTAL_ORDER, 0)
+    assert wigner_cyl(s, CylPoint(1e-6, 0.0, 3)) == 0.0  # underflows
+    assert np.isfinite(wigner_cyl(s, CylPoint(1.0, 0.0, 0)))
 
 
 def test_grid_across_underflow_region():
@@ -172,11 +189,25 @@ def test_marginal_radial_vacuum():
 def test_marginal_radial_is_the_phi_sum_of_points():
     s = make_superposition(3, -3, 0.0, 9)
     r, ell_max = 1.1, 16
-    n_phi = 4 * s.max_total_quanta + 5
+    n_phi = 7  # W's phi-frequencies are offset differences, at most 3 - (-3) = 6
     phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
     rings = [2.0 * pi / n_phi * sum(wigner_cyl(s, CylPoint(r, p, ell)) for p in phis)
              for ell in range(-ell_max, ell_max + 1)]
     assert marginal_radial(s, r, ell_max) == sum(rings)
+
+
+def test_marginal_radial_matches_the_dense_phi_rule(rng):
+    # span + 1 phi nodes against the earlier 4 * quanta + 5
+    states = [make_superposition(3, -3, 0.0, 9), make_superposition(1, -2, 0.7, 6),
+              random_state(rng, cutoff=3)]
+    for s in states:
+        assert len(s.amplitude_table) > 1
+        n_phi = 4 * s.max_total_quanta + 5
+        phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
+        for r in (0.7, 1.1, 1.6):
+            ells = np.arange(-16, 17)
+            dense = 2.0 * pi / n_phi * wigner_cyl_grid(s, [r], phis, ells).values.sum()
+            assert marginal_radial(s, r, 16) == pytest.approx(dense, rel=1e-12)
 
 
 def test_marginal_radial_errors():

@@ -106,6 +106,14 @@ def test_json_error_reports_location():
     assert e.value.column > 1
 
 
+@pytest.mark.parametrize("c", ["1e200", "1e-200", "3e-320", "1e308+1e308j", "-2.5j"])
+def test_raw_norm_neither_overflows_nor_underflows(c):
+    # each is the vacuum, whatever the scale of its one coefficient
+    s = build_state(parse_state_spec(f"raw c[0,0]={c}"))
+    assert abs(s.coeffs[0, 0]) == pytest.approx(1.0, abs=1e-15)
+    assert s.coeffs.shape == (1, 1)
+
+
 def test_raw_rejects_all_zero():
     with pytest.raises(ValueError):
         parse_state_spec("raw c[0,0]=0")
@@ -144,6 +152,8 @@ def test_order_bound_is_on_total_quanta():
         parse_state_spec(f"eigenstate N={MAX_TOTAL_ORDER + 1} l0=0")
     with pytest.raises(ValueError, match="range"):
         parse_state_spec("summed l0=101 Nmax=100")
+    with pytest.raises(ValueError, match="range"):  # l1 alone would pass the range, not the bound
+        parse_state_spec("superposition l1=0 l2=100 phi0=0 Nmax=70")
 
 
 @pytest.mark.parametrize("text", [
@@ -154,6 +164,10 @@ def test_order_bound_is_on_total_quanta():
     '{"kind": "eigenstate", "N": 2, "l0": 0, "M": 1}',     # unknown key
     "raw c[0,0]=nan c[1,1]=1",                             # non-finite coefficient
     "superposition l1=3 l2=-3 phi0=nan Nmax=9",            # non-finite parameter
+    pytest.param('{"kind": "raw", "coeffs": ' + "[" * 100000 + "]" * 100000 + "}",
+                 id="json-nesting-too-deep"),
+    pytest.param('{"kind": "eigenstate", "N": ' + "1" * 5000 + ', "l0": 0}',
+                 id="json-int-past-digit-limit"),
 ])
 def test_spec_holes_rejected(text):
     with pytest.raises(SpecParseError):

@@ -25,7 +25,7 @@ def test_table_validation():
 
 
 def test_table_is_readonly():
-    s = TwoModeFock(np.eye(2, dtype=complex))
+    s = TwoModeFock(np.eye(2, dtype=complex) / sqrt(2.0))
     with pytest.raises(ValueError):
         s.coeffs[0, 0] = 2.0
 
@@ -150,9 +150,11 @@ def test_wigner_4d_rotational_invariance_of_eigenstates(rng):
 
 
 def test_wigner_4d_requires_normalization():
-    s = TwoModeFock(np.array([[2.0]], dtype=complex))
-    with pytest.raises(ValueError):
-        wigner_4d(s, CartesianPoint4(0, 0, 0, 0))
+    # normalization is checked once, when the state is built
+    with pytest.raises(ValueError, match="normalized"):
+        TwoModeFock(np.array([[2.0]], dtype=complex))
+    with pytest.raises(ValueError, match="normalized"):
+        TwoModeFock(np.zeros((2, 2), dtype=complex))
 
 
 def test_cartesian_point_finite():
