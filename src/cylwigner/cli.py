@@ -27,6 +27,10 @@ ORACLE_SPREAD_TOL = 1e-6
 #: oracle-check draws r uniformly from this range and ell from -span..span
 ORACLE_R_RANGE = (0.5, 2.2)
 ORACLE_ELL_SPAN = 3
+#: Largest grid that wigner-cyl evaluates, in points: about 110 times the default
+#: 64 x 64 x 11 grid, where a JSON export, or every point on the phi axis, peaks
+#: near 0.6 GiB resident.  A larger grid is refused before anything is allocated.
+MAX_GRID_POINTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,9 @@ class GridRequest:
             raise ValueError("grid must have at least one node per axis")
         if self.ell_min > self.ell_max:
             raise ValueError("ell_min must not exceed ell_max")
+        n_points = self.n_r * self.n_phi * (self.ell_max - self.ell_min + 1)
+        if n_points > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {n_points} points exceeds {MAX_GRID_POINTS}")
 
     def axes(self):
         r = np.linspace(self.r_min, self.r_max, self.n_r)
@@ -106,6 +113,8 @@ def cmd_wigner_cyl(spec, state, req, out_path, fmt="csv"):
 
 def cmd_oracle_check(state, n_points=10, seed=0):
     """Compare the two evaluation routes at random points; report the ratios."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
     gh = default_rule(state)
     pr_rule = gauss_hermite(state.max_total_quanta + 8)

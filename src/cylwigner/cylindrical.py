@@ -141,11 +141,14 @@ def _evaluate(s, r, ell, phi, rule):
         bound = 2 * max_quanta * np.log(2.0 + r + np.abs(shift) + rule.nodes[-1])
         live = np.flatnonzero((expo <= 700.0) | (expo - bound <= 745.0))
     out = np.zeros((r.size, phi.size))
-    # rows in blocks, so no temporary grows with the number of rows
-    step = max(1, _BLOCK // (phi.size * rule.order))
+    # rows in blocks and a long phi axis in slices: no temporary grows with the grid
+    width = max(1, _BLOCK // rule.order)
+    step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
     for lo in range(0, live.size, step):
         rows = live[lo:lo + step]
-        out[rows] = _sum_rows(s, r[rows], shift[rows], expo[rows], phi, rule)
+        for p in range(0, phi.size, width):
+            out[rows, p:p + width] = _sum_rows(s, r[rows], shift[rows], expo[rows],
+                                               phi[p:p + width], rule)
     return out
 
 

@@ -1,18 +1,18 @@
 """Gaussian quadrature rules shared by every integration in the package.
 
-Nodes and weights are generated by the Golub-Welsch eigenvalue method from
-the Jacobi matrix of the orthogonal-polynomial family, so arbitrary orders
-are available without tabulation.  Rules are immutable, so each is built
-once per argument tuple and then shared.
+Nodes and weights come from numpy's ``hermgauss`` and ``leggauss``: exactly
+symmetric rules of any order, whose weights keep full relative accuracy out
+to the tiny outer nodes.  Rules are immutable, so each is built once per
+argument tuple and then shared.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import sqrt, pi
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 MAX_ORDER = 200
 
@@ -28,14 +28,13 @@ class QuadratureRule:
 
     For ``GAUSS_HERMITE`` the rule integrates f(t) e^{-t^2} over the real
     line; for ``GAUSS_LEGENDRE_MAPPED`` it integrates f(r) over the interval
-    ``map_params = (r_min, r_max)``.
+    it was mapped onto.
     """
 
     kind: QuadKind
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    map_params: tuple | None = None
 
     def __post_init__(self):
         if len(self.nodes) != self.order or len(self.weights) != self.order:
@@ -46,18 +45,11 @@ class QuadratureRule:
 
 @lru_cache(maxsize=128)
 def gauss_hermite(order):
-    """Gauss-Hermite rule for weight e^{-t^2} with exactly symmetric nodes."""
+    """Gauss-Hermite rule for weight e^{-t^2} with exactly symmetric nodes
+    (the realness checks downstream rely on the +/- pairing)."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    if order == 1:
-        return QuadratureRule(QuadKind.GAUSS_HERMITE, 1,
-                              np.array([0.0]), np.array([sqrt(pi)]))
-    k = np.arange(1, order)
-    nodes, vecs = eigh_tridiagonal(np.zeros(order), np.sqrt(k / 2.0))
-    weights = sqrt(pi) * vecs[0] ** 2
-    # enforce the +/- pairing exactly; realness checks downstream rely on it
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
+    nodes, weights = hermgauss(order)
     return QuadratureRule(QuadKind.GAUSS_HERMITE, order, nodes, weights)
 
 
@@ -73,18 +65,11 @@ def gauss_legendre_mapped(order, r_min, r_max):
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-    if order == 1:
-        x = np.array([0.0])
-        w = np.array([2.0])
-    else:
-        k = np.arange(1, order)
-        x, vecs = eigh_tridiagonal(np.zeros(order), k / np.sqrt(4.0 * k ** 2 - 1.0))
-        w = 2.0 * vecs[0] ** 2
+    x, w = leggauss(order)
     half = 0.5 * (r_max - r_min)
     nodes = r_min + half * (x + 1.0)
     weights = half * w
-    return QuadratureRule(QuadKind.GAUSS_LEGENDRE_MAPPED, order, nodes, weights,
-                          map_params=(r_min, r_max))
+    return QuadratureRule(QuadKind.GAUSS_LEGENDRE_MAPPED, order, nodes, weights)
 
 
 def deweighted(rule):

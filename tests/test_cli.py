@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from math import exp, pi, sqrt
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +90,30 @@ def test_precondition_exit_3_grid(capsys):
     assert "r_min" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("axes", [
+    ["--nr", "1", "--nphi", "1000000000000"],
+    ["--nr", "1", "--nphi", "1", "--lmax", "100000000000"],
+    ["--nr", "100000", "--nphi", "100000"],
+])
+def test_huge_grid_rejected_before_allocating(capsys, axes):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["wigner-cyl", "--state", VACUUM] + axes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeds" in json.loads(err)["message"]
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_oracle_check_needs_a_point_exit_3(capsys, n):
+    code, _, err = run(capsys, ["oracle-check", "--state", VACUUM, "--n-points", n])
+    assert code == 3
+    assert "n_points" in json.loads(err)["message"]
+
+
 def test_oracle_check_vacuum_passes(capsys):
     code, out, _ = run(capsys, ["oracle-check", "--state", VACUUM,
                                 "--n-points", "6", "--seed", "3"])
@@ -130,3 +159,12 @@ def test_quad_order_too_small_exit_4(capsys):
     ])
     assert code == 4
     assert json.loads(err)["error"] == "QuadratureOrderError"
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only run-time dependency; scipy serves the tests alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import cylwigner.cli, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from math import exp, pi, sqrt
 
@@ -124,6 +125,23 @@ def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):
         for j, phi in enumerate(phi_nodes):
             for k, ell in enumerate(ells):
                 assert grid[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
+
+
+def test_long_phi_axis_is_evaluated_in_slices(monkeypatch):
+    s = make_superposition(3, -3, 0.0, 9)
+    phi_nodes = np.linspace(0, 2 * pi, 50_000, endpoint=False)
+    tracemalloc.start()
+    try:
+        grid = wigner_cyl_grid(s, [1.0], phi_nodes, [0]).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few copies of the axis, not one per quadrature node
+    assert peak < 8 * phi_nodes.nbytes
+    # slices of five phi nodes give the same bits
+    monkeypatch.setattr(cylindrical, "_BLOCK", 5 * (s.max_total_quanta + 4))
+    assert np.array_equal(wigner_cyl_grid(s, [1.0], phi_nodes[:17], [0]).values,
+                          grid[:, :17])
 
 
 def test_order_bound_holds_at_evaluation():

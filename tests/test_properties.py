@@ -1,14 +1,17 @@
 """Property tests over generated state specs: the CLI's exit-code contract,
-and the round trip of the spec text form."""
+the round trip of the spec text form, and the rotational covariance of W."""
 
 import contextlib
 import io
 import json
+from math import pi
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import StateKind, StateSpec, parse_state_spec, serialize_state_spec
+from cylwigner import (CylPoint, StateKind, StateSpec, build_state, parse_state_spec,
+                       rotate_state, serialize_state_spec, wigner_cyl)
 from cylwigner.cli import main
 from cylwigner.errors import CylWignerError
 
@@ -83,3 +86,19 @@ def test_parse_inverts_serialize(spec):
     except (ValueError, CylWignerError):
         return
     assert parse_state_spec(serialize_state_spec(spec)) == spec
+
+
+SMALL_RAW = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                            min_size=1, max_size=5)
+ANGLE = st.floats(0.0, 2 * pi)
+
+
+@PROPERTY
+@given(SMALL_RAW, ANGLE, st.floats(0.3, 2.5), ANGLE, st.integers(-3, 3))
+def test_rotation_shifts_phi(coeffs, a, r, phi, ell):
+    # exp(i a L) turns W by a: W_rot(r, phi, ell) = W(r, phi + a, ell)
+    s = build_state(StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}))
+    moved = wigner_cyl(rotate_state(s, a), CylPoint(r, phi, ell))
+    still = wigner_cyl(s, CylPoint(r, phi + a, ell))
+    assert moved == pytest.approx(still, rel=1e-10, abs=1e-12)

@@ -1,4 +1,4 @@
-from math import fsum, pi, sqrt
+from math import fsum, gamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -45,6 +45,15 @@ def test_gh_exactness_boundary():
                - exact) < 1e-10
 
 
+@pytest.mark.parametrize("order", [24, 44, 60, 96])
+def test_gh_exact_below_degree_2n(order):
+    # every even moment the rule claims, out to the tiny outer weights
+    rule = gauss_hermite(order)
+    for k in range(order):
+        got = fsum(rule.weights * rule.nodes ** (2 * k))
+        assert got == pytest.approx(gamma(k + 0.5), rel=1e-12)
+
+
 def test_gh_order_bounds():
     with pytest.raises(ValueError):
         gauss_hermite(0)
@@ -55,7 +64,6 @@ def test_gh_order_bounds():
 def test_gl_mapped_constant():
     rule = gauss_legendre_mapped(8, 1.0, 2.0)
     assert rule.kind is QuadKind.GAUSS_LEGENDRE_MAPPED
-    assert rule.map_params == (1.0, 2.0)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-12
     assert np.all((rule.nodes > 1.0) & (rule.nodes < 2.0))
 
@@ -73,6 +81,15 @@ def test_gl_mapped_polynomial_exactness():
     # degree 11 is within the order-6 exactness bound
     got = np.sum(rule.weights * rule.nodes ** 11)
     assert got == pytest.approx((3.0 ** 12 - 0.5 ** 12) / 12.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [24, 96])
+def test_gl_mapped_exact_below_degree_2n(order):
+    r_min, r_max = 1e-3, 8.0
+    rule = gauss_legendre_mapped(order, r_min, r_max)
+    for d in range(2 * order):
+        got = fsum(rule.weights * rule.nodes ** d)
+        assert got == pytest.approx((r_max ** (d + 1) - r_min ** (d + 1)) / (d + 1), rel=1e-12)
 
 
 def test_gl_mapped_domain_errors():
