@@ -240,23 +240,23 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     Maps (r, phi, ell, p_r) to Cartesian coordinates by the canonical
     (unit-Jacobian) transformation and integrates with a de-weighted
     Gauss-Hermite rule, which is exact here because the 4D Wigner function
-    of a truncated state is a polynomial under a Gaussian in p_r.  The
-    ratio wigner_cyl / oracle is the single global constant KAPPA.
+    of a truncated state is a polynomial under a Gaussian in p_r.  All the
+    nodes go to one batched 4D evaluation.  The ratio wigner_cyl / oracle
+    is the single global constant KAPPA.
     """
     if pr_rule.kind is not QuadKind.GAUSS_HERMITE:
         raise ValueError("p_r integration requires a Gauss-Hermite rule")
     r, phi, ell = at.r, at.phi, at.ell
-    x = r * np.cos(phi)
-    y = r * np.sin(phi)
     lam = ell / r
-    total = 0.0
+    p_x = pr_rule.nodes * np.cos(phi) - lam * np.sin(phi)
+    p_y = pr_rule.nodes * np.sin(phi) + lam * np.cos(phi)
     with warnings.catch_warnings():
         # the displaced-parity overlap is exact for the truncated table; the
         # far-displacement warning is aimed at users approximating untruncated
         # states and would fire spuriously at large |p_r| nodes here
         warnings.simplefilter("ignore", TruncationWarning)
-        for t, w in zip(pr_rule.nodes, deweighted(pr_rule)):
-            p_x = t * np.cos(phi) - lam * np.sin(phi)
-            p_y = t * np.sin(phi) + lam * np.cos(phi)
-            total += w * wigner_4d(s, CartesianPoint4(x, p_x, y, p_y))
+        vals = wigner_4d(s, CartesianPoint4(r * np.cos(phi), p_x, r * np.sin(phi), p_y))
+    total = 0.0
+    for term in (deweighted(pr_rule) * vals).tolist():  # node order, left to right
+        total += term
     return float(total)

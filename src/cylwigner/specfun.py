@@ -21,9 +21,9 @@ from .errors import OrderBoundError
 #: Hermite call here, and once per state when its table is built
 #: (``twomode.check_order_bound``; the constructors check it before they
 #: allocate).  The coefficients stay finite far past it, but the
-#: contour-shifted cylindrical sum loses accuracy long before it: up to
-#: about 6e-8 relative at 20 total quanta and 4e-5 at 26, wrong values
-#: from about 30 (see the roadmap's accuracy item).
+#: contour-shifted cylindrical sum loses accuracy long before it: 1.3e-7
+#: relative at 20 total quanta and 4e-5 at 26 (worst of random points
+#: against the mpmath reference), wrong values from about 30 (ROADMAP).
 MAX_TOTAL_ORDER = 60
 
 
@@ -94,21 +94,27 @@ def hermite2(m, n, lam):
     return hermite2_general(m, n, lam, np.conjugate(lam))
 
 
-def laguerre(p, alpha, x):
-    """Generalized Laguerre polynomial L_p^alpha(x) by three-term recurrence.
+def laguerre_table(p, alpha, x):
+    """Generalized Laguerre polynomials L_n^alpha(x) for every degree n = 0..p.
 
-    The upward recurrence in the degree p is backward stable on the
+    One upward three-term recurrence in n over broadcast arrays of alpha and
+    x, returned with a leading degree axis.  It is backward stable on the
     non-negative real axis, which is the only region used here.
     """
-    if p < 0 or alpha < 0:
+    alpha = np.asarray(alpha)
+    if p < 0 or np.any(alpha < 0):
         raise ValueError(f"Laguerre indices must be non-negative, got ({p}, {alpha})")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if p == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = 1.0 + alpha - x
-    for k in range(2, p + 1):
-        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+    table = np.zeros((p + 2,) + np.broadcast_shapes(alpha.shape, x.shape))
+    table[1] = 1.0  # table[n + 1] holds L_n; the zero row L_-1 starts the recurrence
+    for k in range(1, p + 1):
+        table[k + 1] = ((2 * k - 1 + alpha - x) * table[k] - (k - 1 + alpha) * table[k - 1]) / k
+    return table[1:]
+
+
+def laguerre(p, alpha, x):
+    """Generalized Laguerre polynomial L_p^alpha(x): the last row of :func:`laguerre_table`."""
+    cur = laguerre_table(p, alpha, x)[p]
     if cur.ndim == 0:
         return float(cur)
     return cur

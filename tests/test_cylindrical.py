@@ -1,6 +1,8 @@
+import json
 import tracemalloc
 import warnings
 from math import exp, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,27 @@ def test_oracle_ratio_is_kappa(rng):
             direct = wigner_cyl(s, pt)
             brute = oracle_cyl_from_cartesian(s, pt, pr_rule)
             assert direct == pytest.approx(KAPPA * brute, rel=1e-9, abs=1e-12)
+
+
+PROBE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "probe_reference.json"
+
+
+def test_oracle_matches_the_reference_at_30_to_40_quanta():
+    # the independent route holds where the contour-shifted sum does not;
+    # the 80-digit values are the benchmark's accuracy probes
+    for probe in json.loads(PROBE_REFERENCE.read_text())["probes"]:
+        s = make_summed_oam(0, probe["Nmax"])
+        pt = CylPoint(probe["r"], probe["phi"], probe["ell"])
+        got = KAPPA * oracle_cyl_from_cartesian(s, pt, gauss_hermite(s.max_total_quanta + 8))
+        assert got == pytest.approx(float(probe["value"]), rel=1e-9, abs=0)
+
+
+def test_oracle_does_not_warn_at_far_nodes():
+    # the nodes of a vacuum rule of order 8 reach far past cutoff/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle_cyl_from_cartesian(vacuum_state(), CylPoint(1.0, 0.3, 1), gauss_hermite(8))
+    assert KAPPA * got == pytest.approx(vacuum_closed_form(1.0, 1), rel=1e-12)
 
 
 def test_oracle_requires_gauss_hermite():

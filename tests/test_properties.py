@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import (CylPoint, StateKind, StateSpec, build_state, parse_state_spec,
-                       rotate_state, serialize_state_spec, wigner_cyl)
+from cylwigner import (KAPPA, CylPoint, StateKind, StateSpec, build_state, gauss_hermite,
+                       oracle_cyl_from_cartesian, parse_state_spec, rotate_state,
+                       serialize_state_spec, wigner_cyl)
 from cylwigner.cli import main
 from cylwigner.errors import CylWignerError
 
@@ -102,3 +103,13 @@ def test_rotation_shifts_phi(coeffs, a, r, phi, ell):
     moved = wigner_cyl(rotate_state(s, a), CylPoint(r, phi, ell))
     still = wigner_cyl(s, CylPoint(r, phi + a, ell))
     assert moved == pytest.approx(still, rel=1e-10, abs=1e-12)
+
+
+@PROPERTY
+@given(SMALL_RAW, st.floats(0.3, 2.5), ANGLE, st.integers(-3, 3))
+def test_wigner_cyl_is_kappa_times_the_oracle(coeffs, r, phi, ell):
+    # the two routes to W: the contour-shifted sum and the p_r integral of the 4D Wigner
+    s = build_state(StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}))
+    pt = CylPoint(r, phi, ell)
+    brute = oracle_cyl_from_cartesian(s, pt, gauss_hermite(s.max_total_quanta + 8))
+    assert wigner_cyl(s, pt) == pytest.approx(KAPPA * brute, rel=1e-9, abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from cylwigner import hermite2, laguerre
 from cylwigner.errors import OrderBoundError
-from cylwigner.specfun import MAX_TOTAL_ORDER, hermite2_general
+from cylwigner.specfun import MAX_TOTAL_ORDER, hermite2_general, laguerre_table
 
 
 def hermite2_bruteforce(m, n, lam):
@@ -127,6 +127,22 @@ def test_laguerre_matches_series(rng):
         x = rng.uniform(0, 16)
         assert laguerre(p, alpha, x) == pytest.approx(
             laguerre_series(p, alpha, x), rel=1e-10, abs=1e-10)
+
+
+def test_laguerre_table_matches_series(rng):
+    # every degree 0..p and every order of the table, from one recurrence over arrays
+    orders = np.arange(8)
+    for _ in range(25):
+        p = int(rng.integers(0, 16))
+        x = rng.uniform(0, 16, size=3)
+        table = laguerre_table(p, orders[:, None], x)
+        assert table.shape == (p + 1, 8, 3)
+        for n, alpha, j in np.ndindex(table.shape):
+            assert table[n, alpha, j] == pytest.approx(
+                laguerre_series(n, alpha, float(x[j])), rel=1e-10, abs=1e-10)
+        assert np.array_equal(laguerre(p, 5, x), table[p, 5])
+    with pytest.raises(ValueError):
+        laguerre_table(3, np.array([0, 2, -1]), 1.0)
 
 
 def test_laguerre_rejects_negative_indices():

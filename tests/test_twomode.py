@@ -7,7 +7,8 @@ from scipy.linalg import expm
 from cylwigner import (CartesianPoint4, TwoModeFock, expectation_N_L,
                        make_N_l_eigenstate, make_summed_oam, make_superposition,
                        mode_rotate_xy_to_pm, rotate_state, wigner_4d)
-from cylwigner.errors import TruncationWarning
+from cylwigner import twomode
+from cylwigner.errors import QuadratureResidueError, TruncationWarning
 from cylwigner.twomode import _to_xy, displaced_fock_matrix
 
 
@@ -114,6 +115,28 @@ def test_displaced_fock_matrix_against_expm(rng):
         assert np.allclose(got, exact, atol=1e-12)
 
 
+def test_displaced_fock_matrix_batch_against_expm():
+    # |alpha| = 5 spreads D|n> to about 30 quanta: the generator is cut well above that
+    big = 60
+    a = np.diag(np.sqrt(np.arange(1, big)), 1)
+    alphas = np.array([0.0, 1.1j, -0.7j, 0.6, -0.4 + 0.9j, 3.0 - 4.0j, 5.0, -3.5j])
+    got = displaced_fock_matrix(alphas, 6)
+    assert got.shape == (len(alphas), 6, 6)
+    for alpha, d in zip(alphas, got):
+        exact = expm(alpha * a.conj().T - np.conj(alpha) * a)[:6, :6]
+        assert np.allclose(d, exact, atol=1e-12)
+
+
+def test_displaced_fock_matrix_batch_is_elementwise(rng):
+    # a matrix does not depend on the batch it is computed in
+    alphas = rng.uniform(-4, 4, size=(2, 4)) + 1j * rng.uniform(-4, 4, size=(2, 4))
+    alphas[0, 0], alphas[1, 3] = 0.0, 2.5j
+    got = displaced_fock_matrix(alphas, 9)
+    assert got.shape == (2, 4, 9, 9)
+    for idx in np.ndindex(alphas.shape):
+        assert np.array_equal(got[idx], displaced_fock_matrix(complex(alphas[idx]), 9))
+
+
 def test_displaced_fock_matrix_alpha_zero():
     assert np.allclose(displaced_fock_matrix(0.0, 5), np.eye(5))
 
@@ -127,6 +150,37 @@ def test_wigner_4d_vacuum_gaussian(rng):
         got = wigner_4d(s, CartesianPoint4(1.2, -0.3, 0.4, 0.9))
     want = exp(-(1.2 ** 2 + 0.3 ** 2 + 0.4 ** 2 + 0.9 ** 2)) / pi ** 2
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_wigner_4d_batch_is_pointwise(rng):
+    s = make_superposition(3, -3, 0.4, 9)
+    pts = rng.uniform(-1.0, 1.0, size=(4, 7))
+    got = wigner_4d(s, CartesianPoint4(*pts))
+    assert got.shape == (7,)
+    for i in range(7):
+        assert got[i] == wigner_4d(s, CartesianPoint4(*pts[:, i]))
+
+
+def test_wigner_4d_batch_warns_its_caller():
+    s = TwoModeFock(np.array([[1.0]], dtype=complex))
+    x = np.array([0.0, 1.2])
+    with pytest.warns(TruncationWarning) as record:
+        got = wigner_4d(s, CartesianPoint4(x, -0.3, 0.4, 0.9))
+    assert [w.filename for w in record] == [__file__]
+    want = np.exp(-(x ** 2 + 0.3 ** 2 + 0.4 ** 2 + 0.9 ** 2)) / pi ** 2
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore::cylwigner.errors.TruncationWarning")
+def test_wigner_4d_residue_test_is_per_value(monkeypatch):
+    # node 0 is 1e-4 of node 1; a relative residue of 1e-8 on node 0 alone
+    # must raise, though it is far below 1e-10 of the batch's largest value
+    s = TwoModeFock(np.array([[1.0]], dtype=complex))
+    exact = displaced_fock_matrix
+    phase = np.exp(1j * np.array([1e-8, 0.0]))[:, None, None]
+    monkeypatch.setattr(twomode, "displaced_fock_matrix", lambda a, dim: exact(a, dim) * phase)
+    with pytest.raises(QuadratureResidueError):
+        wigner_4d(s, CartesianPoint4(np.array([3.0, 0.0]), 0.0, 0.0, 0.0))
 
 
 def test_wigner_4d_parity_at_origin():
