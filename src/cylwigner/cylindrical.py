@@ -27,14 +27,14 @@ agree up to one global constant (empirically 4 pi^2, see KAPPA).
 
 import warnings
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
-from .entangled import amplitude_diagonals
+from .entangled import amplitude_terms
 from .errors import ConvergenceError, QuadratureOrderError, QuadratureResidueError, TruncationWarning
 from .quadrature import QuadKind, deweighted, gauss_hermite
-from .twomode import CartesianPoint4, wigner_4d
+from .twomode import CartesianPoint4, _wigner_4d
 
 #: Ratio wigner_cyl / oracle_cyl_from_cartesian.  The literal factor 4 in
 #: the transform is kept as-is (no global normalization is imposed), and
@@ -125,7 +125,7 @@ def _evaluate(s, r, ell, phi, rule):
         raise ValueError("r must be strictly positive")
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
-    if not (np.mod(ell, 1) == 0).all():
+    if ell.dtype.kind not in "iu" and not (np.mod(ell, 1) == 0).all():
         raise ValueError("ell must be an integer")
     phi = np.mod(phi, 2.0 * pi)
     max_quanta = s.max_total_quanta
@@ -140,10 +140,12 @@ def _evaluate(s, r, ell, phi, rule):
         expo = r * r + shift * shift
         bound = 2 * max_quanta * np.log(2.0 + r + np.abs(shift) + rule.nodes[-1])
         live = np.flatnonzero((expo <= 700.0) | (expo - bound <= 745.0))
-    out = np.zeros((r.size, phi.size))
     # rows in blocks and a long phi axis in slices: no temporary grows with the grid
     width = max(1, _BLOCK // rule.order)
     step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
+    if live.size == r.size <= step and phi.size <= width:  # one block of live rows
+        return _sum_rows(s, r, shift, expo, phi, rule)
+    out = np.zeros((r.size, phi.size))
     for lo in range(0, live.size, step):
         rows = live[lo:lo + step]
         for p in range(0, phi.size, width):
@@ -157,11 +159,11 @@ def _sum_rows(s, r, shift, expo, phi, rule):
     rp = rule.nodes + 1j * shift[:, None]
     xi_fwd = r[:, None] + 1j * rp
     xi_bwd = r[:, None] - 1j * rp
+    offsets, ket_terms, bra_terms = amplitude_terms(s, xi_fwd, xi_bwd)
     ket = bra = 0.0
-    for d, term in amplitude_diagonals(s, xi_fwd, xi_bwd):
-        ket = ket + np.exp(-1j * d * phi)[:, None] * term[:, None, :]
-    for d, term in amplitude_diagonals(s, xi_bwd, xi_fwd, conjugated=True):
-        bra = bra + np.exp(-1j * d * phi)[:, None] * term[:, None, :]
+    for d, ket_term, bra_term in zip(offsets.tolist(), ket_terms, bra_terms):
+        ket = ket + np.exp(-1j * d * phi)[:, None] * ket_term[:, None, :]
+        bra = bra + np.exp(1j * d * phi)[:, None] * bra_term[:, None, :]
     prod = bra * ket
     envelope = 4.0 * np.exp(-expo)[:, None]
     val = envelope * np.sum(rule.weights * prod, axis=-1)
@@ -247,15 +249,14 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     if pr_rule.kind is not QuadKind.GAUSS_HERMITE:
         raise ValueError("p_r integration requires a Gauss-Hermite rule")
     r, phi, ell = at.r, at.phi, at.ell
-    lam = ell / r
+    lam = ell / float(r)  # float division: inf at a subnormal r, and no numpy warning
+    if not isfinite(lam):  # refused before lam * sin(phi) makes a nan
+        raise ValueError("phase-space coordinates must be finite")
     p_x = pr_rule.nodes * np.cos(phi) - lam * np.sin(phi)
     p_y = pr_rule.nodes * np.sin(phi) + lam * np.cos(phi)
-    with warnings.catch_warnings():
-        # the displaced-parity overlap is exact for the truncated table; the
-        # far-displacement warning is aimed at users approximating untruncated
-        # states and would fire spuriously at large |p_r| nodes here
-        warnings.simplefilter("ignore", TruncationWarning)
-        vals = wigner_4d(s, CartesianPoint4(r * np.cos(phi), p_x, r * np.sin(phi), p_y))
+    # no far-displacement warning: the overlap is exact for the truncated table, and the
+    # warning, aimed at users approximating untruncated states, would fire at far nodes
+    vals = _wigner_4d(s, CartesianPoint4(r * np.cos(phi), p_x, r * np.sin(phi), p_y))
     total = 0.0
     for term in (deweighted(pr_rule) * vals).tolist():  # node order, left to right
         total += term

@@ -7,7 +7,7 @@ representation, Psi(xi, phi) = <xi e^{-i phi}|Psi>, is the object the
 cylindrical Wigner transform integrates.
 
 A state's amplitude polynomial is evaluated from its cached diagonal table
-(``TwoModeFock.amplitude_table``): one polynomial in u = lam lam_bar per OAM
+(``TwoModeFock.amplitude_stack``): one polynomial in u = lam lam_bar per OAM
 value, times a power of lam or lam_bar.  The explicit Hermite sum is used
 only for single Fock overlaps (:func:`xi_fock_overlap`).
 """
@@ -45,30 +45,32 @@ def xi_fock_overlap(xi, n_plus, n_minus):
     return np.exp(-np.abs(xi) ** 2 / 2.0) * norm * hermite2(n_minus, n_plus, xi)
 
 
-def amplitude_diagonals(s, lam, lam_bar, conjugated=False):
-    """The terms of amplitude_polynomial, one per occupied diagonal offset.
+def amplitude_terms(s, lam, lam_bar):
+    """The terms of amplitude_polynomial from one Horner pass in u = lam lam_bar.
 
-    Yields ``(d, lam^d p_d(u))`` (``lam_bar^-d p_d(u)`` for d < 0) for each
-    entry of ``s.amplitude_table``, with u = lam lam_bar evaluated by Horner's
-    rule.  The bra side (``conjugated``) reads the same table with negated
-    offsets and conjugated coefficients.  Rotating the arguments to
-    (lam e^{-i phi}, lam_bar e^{i phi}) leaves u alone and multiplies term d
-    by e^{-i d phi}, which is how the cylindrical kernel factors out phi.
+    ``(offsets, ket, bra)``: with d = offsets[i], ket[i] = lam^d p_d(u)
+    (lam_bar^-d p_d(u) for d < 0) and bra[i] is that power times conj(p_d)(u),
+    the bra term of offset -d at swapped arguments; a real table's bra is its
+    ket.  Rotating the arguments to (lam e^{-i phi}, lam_bar e^{i phi}) leaves
+    u alone and multiplies ket[i] by e^{-i d phi} and bra[i] by e^{i d phi},
+    which is how the cylindrical kernel factors out phi.
     """
     lam = np.asarray(lam, dtype=complex)
     lam_bar = np.asarray(lam_bar, dtype=complex)
     u = lam * lam_bar
-    for d, p in s.amplitude_table:
-        if conjugated:
-            d, p = -d, p.conj()
-        term = np.full(u.shape, p[0])
-        for c in p[1:]:
-            term = term * u + c
-        if d > 0:
-            term = lam ** d * term
-        elif d < 0:
-            term = lam_bar ** -d * term
-        yield d, term
+    offsets, coeffs = s.amplitude_stack
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * u.ndim)
+    terms = coeffs[0]
+    for c in coeffs[1:]:
+        terms = terms * u + c
+    # scalar exponents, one per nonzero offset: an array of exponents makes numpy's
+    # ufunc iterator allocate buffers that add 256 KiB to the peak RSS of a small export
+    powers = np.ones((len(offsets),) + u.shape, dtype=complex)
+    for i, d in enumerate(offsets.tolist()):
+        if d:
+            powers[i] = lam ** d if d > 0 else lam_bar ** -d
+    ket, *bra = terms * powers
+    return offsets, ket, bra[0] if bra else ket
 
 
 def amplitude_polynomial(s, lam, lam_bar, conjugated=False):
@@ -81,7 +83,9 @@ def amplitude_polynomial(s, lam, lam_bar, conjugated=False):
     cylindrical transform; ``conjugated`` selects the bra-side variant
     (conjugate coefficients, swapped Hermite indices).
     """
-    return sum(term for _, term in amplitude_diagonals(s, lam, lam_bar, conjugated))
+    if conjugated:
+        return np.sum(amplitude_terms(s, lam_bar, lam)[2], axis=0)
+    return np.sum(amplitude_terms(s, lam, lam_bar)[1], axis=0)
 
 
 def psi_entangled(s, at):

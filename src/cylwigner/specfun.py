@@ -107,8 +107,10 @@ def laguerre_table(p, alpha, x):
     x = np.asarray(x, dtype=float)
     table = np.zeros((p + 2,) + np.broadcast_shapes(alpha.shape, x.shape))
     table[1] = 1.0  # table[n + 1] holds L_n; the zero row L_-1 starts the recurrence
-    for k in range(1, p + 1):
-        table[k + 1] = ((2 * k - 1 + alpha - x) * table[k] - (k - 1 + alpha) * table[k - 1]) / k
+    # the coefficients 2k - 1 + alpha - x and k - 1 + alpha of every step at once
+    steps = np.arange(1, p + 1).reshape((-1,) + (1,) * (table.ndim - 1))
+    for k, a, b in zip(range(1, p + 1), 2 * steps - 1 + alpha - x, steps - 1 + alpha):
+        np.divide(a * table[k] - b * table[k - 1], k, out=table[k + 1, ...])
     return table[1:]
 
 

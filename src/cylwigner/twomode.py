@@ -13,7 +13,7 @@ quanta before they allocate a table.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, exp, lgamma, pi, sqrt
 
 import numpy as np
@@ -83,6 +83,22 @@ class TwoModeFock:
         """
         return hermite2_diagonals(self.coeffs)
 
+    @cached_property
+    def amplitude_stack(self):
+        """``amplitude_table`` as ``(offsets, coeffs)`` for one Horner pass: coeffs[j, 0, i]
+        is the coefficient of u^(degree - j) in p_d, d = offsets[i], zero-padded at the
+        top; a complex table adds conj(p_d) as coeffs[:, 1], read by the bra side."""
+        table = self.amplitude_table
+        offsets = np.array([d for d, _ in table])
+        coeffs = np.zeros((max(len(p) for _, p in table), 1, len(table)), dtype=complex)
+        for i, (_, p) in enumerate(table):
+            coeffs[len(coeffs) - len(p):, 0, i] = p
+        if coeffs.imag.any():
+            coeffs = np.concatenate([coeffs, coeffs.conj()], axis=1)
+        for a in (offsets, coeffs):
+            a.setflags(write=False)
+        return offsets, coeffs
+
     def support(self):
         """Iterate over (n_plus, n_minus, coefficient) for nonzero entries."""
         for (np_, nm), c in np.ndenumerate(self.coeffs):
@@ -101,7 +117,7 @@ class CartesianPoint4:
 
     def __post_init__(self):
         for v in (self.x, self.p_x, self.y, self.p_y):
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError("phase-space coordinates must be finite")
 
 
@@ -211,6 +227,20 @@ def _to_xy(s):
     return _basis_rotation(s.coeffs, q, 1j * q, q, -1j * q)
 
 
+@lru_cache(maxsize=128)
+def _dim_constants(dim):
+    """Read-only arrays of dim alone: k, min(m, n), |m - n|, sqrt(min! / max!), the
+    index of each element's power in displaced_fock_matrix, and the parity (-1)^(m + n)."""
+    k = np.arange(dim)
+    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    lg = np.array([lgamma(i + 1) for i in range(dim)])
+    consts = (k, lo, hi - lo, np.exp(0.5 * (lg[lo] - lg[hi])),
+              hi - lo + dim * np.less.outer(k, k), (-1.0) ** np.add.outer(k, k))
+    for a in consts:
+        a.setflags(write=False)
+    return consts
+
+
 def displaced_fock_matrix(alpha, dim):
     """Matrix elements <m|D(alpha)|n> for m, n < dim.
 
@@ -218,16 +248,14 @@ def displaced_fock_matrix(alpha, dim):
     exact up to roundoff.  An array of alpha gives matrices of shape
     alpha.shape + (dim, dim), each computed as for that alpha alone.
     """
+    k, lo, order, ratio, gather, _ = _dim_constants(dim)
     alpha = np.asarray(alpha, dtype=complex)[..., None]
     aa = np.abs(alpha) ** 2
-    k = np.arange(dim)
-    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
-    lg = np.array([lgamma(i + 1) for i in range(dim)])
     # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m)
     powers = np.concatenate([alpha ** k, (-np.conj(alpha)) ** k], axis=-1)
-    d = np.exp(0.5 * (lg[lo] - lg[hi])) * powers[..., hi - lo + dim * np.less.outer(k, k)]
+    d = ratio * powers[..., gather]
     d *= np.exp(-aa / 2.0)[..., None]
-    d *= np.moveaxis(laguerre_table(dim - 1, k, aa), 0, -2)[..., lo, hi - lo]
+    d *= np.moveaxis(laguerre_table(dim - 1, k, aa), 0, -2)[..., lo, order]
     return d
 
 
@@ -239,19 +267,26 @@ def wigner_4d(s, at):
     vacuum gives exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.  A batch of
     points gives an array of values, from one batched matrix product.
     """
-    cxy = s.xy_coeffs
-    dim = cxy.shape[0]
-    ax = (at.x + 1j * np.asarray(at.p_x)) / sqrt(2.0)
-    ay = (at.y + 1j * np.asarray(at.p_y)) / sqrt(2.0)
-    if np.any(np.abs(ax) ** 2 + np.abs(ay) ** 2 > s.cutoff / 2.0 + 0.5):
+    # |a_x|^2 + |a_y|^2 > cutoff/2 + 1/2, with a = (q + i p)/sqrt(2) per mode
+    reach = np.square(at.x) + np.square(at.p_x) + np.square(at.y) + np.square(at.p_y)
+    if np.any(reach > s.cutoff + 1.0):
         warnings.warn(
             "displacement amplitude^2 exceeds cutoff/2; the truncated table "
             "is a poor stand-in for any untruncated state this far out",
             TruncationWarning, stacklevel=2)
-    dx = displaced_fock_matrix(2.0 * ax, dim)
-    dy = displaced_fock_matrix(2.0 * ay, dim)
-    parity = (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
-    val = np.sum(np.conj(cxy) * (dx @ (cxy * parity) @ np.swapaxes(dy, -1, -2)),
+    return _wigner_4d(s, at)
+
+
+def _wigner_4d(s, at):
+    """wigner_4d without the far-displacement warning."""
+    cxy = s.xy_coeffs
+    dim = cxy.shape[0]
+    # both modes' matrices from one call on the stacked amplitudes: one Laguerre recurrence
+    a = np.stack(np.broadcast_arrays(at.x + 1j * np.asarray(at.p_x),
+                                     at.y + 1j * np.asarray(at.p_y))) / sqrt(2.0)
+    d = displaced_fock_matrix(2.0 * a, dim)
+    parity = _dim_constants(dim)[-1]
+    val = np.sum(np.conj(cxy) * (d[0] @ (cxy * parity) @ np.swapaxes(d[1], -1, -2)),
                  axis=(-2, -1)) / pi ** 2
     if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val), 1e-300)):
         raise QuadratureResidueError("4D Wigner value has a non-negligible imaginary part")

@@ -274,6 +274,16 @@ def test_oracle_does_not_warn_at_far_nodes():
     assert KAPPA * got == pytest.approx(vacuum_closed_form(1.0, 1), rel=1e-12)
 
 
+def test_oracle_refuses_an_infinite_ell_over_r_without_a_warning():
+    # at a subnormal r, ell / r is infinite: refused before it meets sin(phi) = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (5e-324, np.float64(5e-324)):
+            with pytest.raises(ValueError, match="finite"):
+                oracle_cyl_from_cartesian(make_summed_oam(0, 4), CylPoint(r, 0.0, 1),
+                                          gauss_hermite(12))
+
+
 def test_oracle_requires_gauss_hermite():
     with pytest.raises(ValueError):
         oracle_cyl_from_cartesian(vacuum_state(), CylPoint(1.0, 0.0, 0),

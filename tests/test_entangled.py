@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cylwigner import (EntangledArg, TwoModeFock, gauss_hermite,
-                       laguerre_gauss_profile, make_N_l_eigenstate,
-                       psi_entangled, rotate_state, xi_fock_overlap)
-from cylwigner.entangled import amplitude_polynomial
+                       laguerre_gauss_profile, make_N_l_eigenstate, make_summed_oam,
+                       make_superposition, psi_entangled, rotate_state, xi_fock_overlap)
+from cylwigner.entangled import amplitude_polynomial, amplitude_terms
 from cylwigner.errors import OrderBoundError
 from cylwigner.quadrature import deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER, hermite2_general
@@ -154,6 +154,32 @@ def test_amplitude_table_matches_explicit_hermite_sum(rng):
             got = amplitude_polynomial(s, lam, lam_bar, conjugated)
             want = explicit_amplitude(s, lam, lam_bar, conjugated)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_amplitude_terms_match_explicit_hermite_sums_per_offset(rng):
+    # one Horner pass over the stacked table gives every offset's ket and bra term
+    states = [make_superposition(3, -3, 0.4, 9), make_summed_oam(2, 10),
+              random_state(rng, cutoff=3), random_state(rng, cutoff=2)]
+    lam = rng.uniform(-2, 2, size=(3, 8)) + 1j * rng.uniform(-2, 2, size=(3, 8))
+    lam_bar = rng.uniform(-2, 2, size=(3, 8)) + 1j * rng.uniform(-2, 2, size=(3, 8))
+    for s in states:
+        offsets, ket, bra = amplitude_terms(s, lam, lam_bar)
+        assert offsets.tolist() == [d for d, _ in s.amplitude_table]
+        assert ket.shape == bra.shape == (len(offsets),) + lam.shape
+        for d, ket_term, bra_term in zip(offsets.tolist(), ket, bra):
+            entries = [(np_, nm, c) for np_, nm, c in s.support() if nm - np_ == d]
+            want_ket = want_bra = 0.0
+            for np_, nm, c in entries:
+                norm = 1.0 / sqrt(factorial(np_) * factorial(nm))
+                want_ket = want_ket + c * norm * hermite2_general(nm, np_, lam, lam_bar)
+                # the bra term of offset -d, at the swapped arguments
+                want_bra = want_bra + np.conj(c) * norm * hermite2_general(np_, nm, lam_bar, lam)
+            assert np.allclose(ket_term, want_ket, rtol=1e-12, atol=0.0)
+            assert np.allclose(bra_term, want_bra, rtol=1e-12, atol=0.0)
+        # a real table has one coefficient side, and its bra terms are its ket terms
+        real = not np.any(s.coeffs.imag)
+        assert (bra is ket) == real
+        assert s.amplitude_stack[1].shape[1] == (1 if real else 2)
 
 
 def test_amplitude_table_layout():

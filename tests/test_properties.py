@@ -1,19 +1,22 @@
 """Property tests over generated state specs: the CLI's exit-code contract,
-the round trip of the spec text form, and the rotational covariance of W."""
+the round trip of the spec text form, the rotational covariance of W, its
+agreement with the oracle, and its realness."""
 
 import contextlib
 import io
 import json
 from math import pi
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import (KAPPA, CylPoint, StateKind, StateSpec, build_state, gauss_hermite,
-                       oracle_cyl_from_cartesian, parse_state_spec, rotate_state,
-                       serialize_state_spec, wigner_cyl)
+from cylwigner import (KAPPA, CylPoint, StateKind, StateSpec, build_state, default_rule,
+                       gauss_hermite, oracle_cyl_from_cartesian, parse_state_spec,
+                       rotate_state, serialize_state_spec, wigner_cyl)
 from cylwigner.cli import main
+from cylwigner.entangled import amplitude_polynomial
 from cylwigner.errors import CylWignerError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -113,3 +116,18 @@ def test_wigner_cyl_is_kappa_times_the_oracle(coeffs, r, phi, ell):
     pt = CylPoint(r, phi, ell)
     brute = oracle_cyl_from_cartesian(s, pt, gauss_hermite(s.max_total_quanta + 8))
     assert wigner_cyl(s, pt) == pytest.approx(KAPPA * brute, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY
+@given(SMALL_RAW, st.floats(0.3, 2.5), ANGLE, st.integers(-3, 3))
+def test_kernel_sum_is_real_before_its_real_part_is_taken(coeffs, r, phi, ell):
+    # W is real: the imaginary part of the Gauss-Hermite sum is rounding only
+    s = build_state(StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}))
+    rule = default_rule(s)
+    rp = rule.nodes + 1j * ell / r
+    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+    ket = amplitude_polynomial(s, (r + 1j * rp) * em, (r - 1j * rp) * ep)
+    bra = amplitude_polynomial(s, (r - 1j * rp) * em, (r + 1j * rp) * ep, conjugated=True)
+    terms = rule.weights * bra * ket
+    scale = max(abs(np.sum(terms)), np.sum(np.abs(terms)))
+    assert abs(np.sum(terms).imag) <= 1e-9 * scale

@@ -137,6 +137,19 @@ def test_displaced_fock_matrix_batch_is_elementwise(rng):
         assert np.array_equal(got[idx], displaced_fock_matrix(complex(alphas[idx]), 9))
 
 
+def test_displaced_fock_matrix_of_stacked_modes_is_two_calls(rng):
+    # the oracle stacks both modes' amplitudes into one (2, n) call
+    alphas = rng.uniform(-3, 3, size=(2, 5)) + 1j * rng.uniform(-3, 3, size=(2, 5))
+    got = displaced_fock_matrix(alphas, 7)
+    assert got.shape == (2, 5, 7, 7)
+    assert np.array_equal(got[0], displaced_fock_matrix(alphas[0], 7))
+    assert np.array_equal(got[1], displaced_fock_matrix(alphas[1], 7))
+    # the constants built once per dim are read-only and give the same bits again
+    with pytest.raises(ValueError):
+        twomode._dim_constants(7)[-1][0, 0] = 2.0
+    assert np.array_equal(displaced_fock_matrix(alphas, 7), got)
+
+
 def test_displaced_fock_matrix_alpha_zero():
     assert np.allclose(displaced_fock_matrix(0.0, 5), np.eye(5))
 
@@ -159,6 +172,18 @@ def test_wigner_4d_batch_is_pointwise(rng):
     assert got.shape == (7,)
     for i in range(7):
         assert got[i] == wigner_4d(s, CartesianPoint4(*pts[:, i]))
+
+
+def test_wigner_4d_broadcast_batch_is_pointwise(rng):
+    # scalar positions with arrays of momenta, the shape of the oracle's batch
+    s = random_state(rng, cutoff=3)
+    x, y = rng.uniform(-1.0, 1.0, size=2)
+    p_x, p_y = rng.uniform(-3.0, 3.0, size=(2, 6))
+    with pytest.warns(TruncationWarning):
+        got = wigner_4d(s, CartesianPoint4(x, p_x, y, p_y))
+        want = [wigner_4d(s, CartesianPoint4(x, a, y, b)) for a, b in zip(p_x, p_y)]
+    assert got.shape == (6,)
+    assert np.array_equal(got, want)
 
 
 def test_wigner_4d_batch_warns_its_caller():
