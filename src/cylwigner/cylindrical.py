@@ -61,10 +61,20 @@ class CylPoint:
             raise ValueError("r must be strictly positive")
         if not np.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        if int(self.ell) != self.ell:
-            raise ValueError("ell must be an integer")
+        _integer_ell(self.ell)
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * pi))
         object.__setattr__(self, "ell", int(self.ell))
+
+
+def _integer_ell(ell):
+    """ell as an array; ValueError unless every value is an integer.  Checked before
+    any int cast, which would truncate 0.5 to 0 and overflow on an infinity."""
+    ell = np.asarray(ell)
+    if ell.dtype.kind not in "iu":
+        with np.errstate(invalid="ignore"):  # mod of +-inf or nan is nan, refused
+            if not np.all(np.mod(ell, 1) == 0):
+                raise ValueError("ell must be an integer")
+    return ell
 
 
 @dataclass(frozen=True)
@@ -119,14 +129,12 @@ def _evaluate(s, r, ell, phi, rule):
     depend on the batch it is evaluated in.
     """
     r, ell = (a.ravel() for a in np.broadcast_arrays(np.asarray(r, dtype=float),
-                                                     np.asarray(ell)))
+                                                     _integer_ell(ell)))
     phi = np.asarray(phi, dtype=float).ravel()
     if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("r must be strictly positive")
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
-    if ell.dtype.kind not in "iu" and not (np.mod(ell, 1) == 0).all():
-        raise ValueError("ell must be an integer")
     phi = np.mod(phi, 2.0 * pi)
     max_quanta = s.max_total_quanta
     if rule is None:
@@ -184,7 +192,7 @@ def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values, rule=None):
     """Dense W over the product of the given axes, in one kernel call."""
     r_nodes = np.asarray(r_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
-    ell_values = np.asarray(ell_values, dtype=int)
+    ell_values = _integer_ell(ell_values)
     if r_nodes.size == 0 or phi_nodes.size == 0 or ell_values.size == 0:
         raise ValueError("grid axes must be non-empty")
     vals = _evaluate(s, r_nodes[:, None], ell_values, phi_nodes, rule)

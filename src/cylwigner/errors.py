@@ -17,10 +17,6 @@ class QuadratureResidueError(CylWignerError):
     """Discarded imaginary residue of a nominally real quadrature is too large."""
 
 
-class DomainTruncationError(CylWignerError):
-    """Integrand has not decayed below tolerance at the edge of the domain."""
-
-
 class ConvergenceError(CylWignerError):
     """A truncated sum has not converged at the requested cutoff."""
 

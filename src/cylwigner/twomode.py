@@ -284,10 +284,14 @@ def _wigner_4d(s, at):
     # both modes' matrices from one call on the stacked amplitudes: one Laguerre recurrence
     a = np.stack(np.broadcast_arrays(at.x + 1j * np.asarray(at.p_x),
                                      at.y + 1j * np.asarray(at.p_y))) / sqrt(2.0)
-    d = displaced_fock_matrix(2.0 * a, dim)
     parity = _dim_constants(dim)[-1]
-    val = np.sum(np.conj(cxy) * (d[0] @ (cxy * parity) @ np.swapaxes(d[1], -1, -2)),
-                 axis=(-2, -1)) / pi ** 2
-    if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val), 1e-300)):
-        raise QuadratureResidueError("4D Wigner value has a non-negligible imaginary part")
+    # far out, alpha^k overflows while exp(-|alpha|^2 / 2) underflows: a nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = displaced_fock_matrix(2.0 * a, dim)
+        val = np.sum(np.conj(cxy) * (d[0] @ (cxy * parity) @ np.swapaxes(d[1], -1, -2)),
+                     axis=(-2, -1)) / pi ** 2
+    real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(np.abs(val), 1e-300))
+    if not real.all():
+        raise QuadratureResidueError(
+            "4D Wigner value is not finite or has a non-negligible imaginary part")
     return float(val.real) if val.ndim == 0 else val.real

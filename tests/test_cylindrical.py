@@ -12,7 +12,8 @@ from cylwigner import (KAPPA, CylGrid, CylPoint, TwoModeFock, cylindrical,
                        make_summed_oam, make_superposition, marginal_angle_oam,
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
-from cylwigner.errors import ConvergenceError, OrderBoundError, QuadratureOrderError
+from cylwigner.errors import (ConvergenceError, OrderBoundError, QuadratureOrderError,
+                             QuadratureResidueError)
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
@@ -52,6 +53,8 @@ def test_point_validation():
         CylPoint(0.0, 0.0, 0)
     with pytest.raises(ValueError):
         CylPoint(1.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="ell"):  # not truncated to ell = 0
+        wigner_cyl_grid(vacuum_state(), [1.0], [0.0], [0.5])
     assert CylPoint(1.0, 2 * pi + 0.3, -1).phi == pytest.approx(0.3)
 
 
@@ -64,6 +67,11 @@ def test_non_finite_phi_rejected(bad):
         wigner_cyl_grid(s, [1.0], [0.0, bad], [0])
     with pytest.raises(ValueError, match="phi"):
         marginal_angle_oam(s, bad, 0, gauss_legendre_mapped(32, 1e-3, 6.0))
+    # nor a non-finite ell: a ValueError, not int()'s OverflowError
+    with pytest.raises(ValueError, match="ell"):
+        CylPoint(1.0, 0.0, bad)
+    with pytest.raises(ValueError, match="ell"):
+        wigner_cyl_grid(s, [1.0], [0.0], [0, bad])
 
 
 def test_rule_degree_check():
@@ -281,6 +289,16 @@ def test_oracle_refuses_an_infinite_ell_over_r_without_a_warning():
         for r in (5e-324, np.float64(5e-324)):
             with pytest.raises(ValueError, match="finite"):
                 oracle_cyl_from_cartesian(make_summed_oam(0, 4), CylPoint(r, 0.0, 1),
+                                          gauss_hermite(12))
+
+
+def test_oracle_refuses_a_non_finite_value_at_tiny_r_without_a_warning():
+    # ell / r is finite but huge: the displaced-Fock matrices overflow to nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e-100, 1e-150, 1e-308):
+            with pytest.raises(QuadratureResidueError, match="not finite"):
+                oracle_cyl_from_cartesian(make_summed_oam(0, 4), CylPoint(r, 0.3, 1),
                                           gauss_hermite(12))
 
 
