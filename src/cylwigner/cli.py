@@ -69,19 +69,28 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
+#: Rows per write of the CSV writer: a default export writes each r node's
+#: rows at once, and a long phi or ell axis is written in slices of this many.
+_CSV_ROWS = 1 << 12
+
+
 def write_grid_csv(fh, spec, req, grid):
-    r, phi, ell = grid.r_nodes, grid.phi_nodes, grid.ell_values
+    # each axis value is formatted once, not once per row
+    r = [_fmt(v) for v in grid.r_nodes]
+    phi = [_fmt(v) for v in grid.phi_nodes]
+    ell = [str(int(v)) for v in grid.ell_values]
     fh.write(f"# cylwigner-grid v{__version__}\n")
     fh.write(f"# state: {serialize_state_spec(spec)}\n")
     fh.write(f"# quad_order: {req.quad_order}\n")
-    fh.write("# r_nodes: " + " ".join(_fmt(v) for v in r) + "\n")
-    fh.write("# phi_nodes: " + " ".join(_fmt(v) for v in phi) + "\n")
-    fh.write("# ell_values: " + " ".join(str(int(v)) for v in ell) + "\n")
+    fh.write("# r_nodes: " + " ".join(r) + "\n")
+    fh.write("# phi_nodes: " + " ".join(phi) + "\n")
+    fh.write("# ell_values: " + " ".join(ell) + "\n")
     fh.write("# columns: r,phi,ell,W\n")
-    for i, rv in enumerate(r):
-        for j, pv in enumerate(phi):
-            for k, lv in enumerate(ell):
-                fh.write(f"{_fmt(rv)},{_fmt(pv)},{int(lv)},{_fmt(grid.values[i, j, k])}\n")
+    n_ell = len(ell)
+    for rv, plane in zip(r, grid.values.reshape(len(r), -1)):
+        for lo in range(0, plane.size, _CSV_ROWS):
+            fh.write("".join(f"{rv},{phi[q // n_ell]},{ell[q % n_ell]},{_fmt(v)}\n"
+                             for q, v in enumerate(plane[lo:lo + _CSV_ROWS].tolist(), lo)))
 
 
 def write_grid_json(fh, spec, req, grid):

@@ -20,6 +20,22 @@ kernel evaluates the table once per (r, ell, node) for a whole phi axis.
 A state is normalized and within MAX_TOTAL_ORDER by construction
 (``TwoModeFock``), so the kernel checks only its points and its rule.
 
+The radial marginal P(r) = sum_ell Int W dphi needs no rings.  Poisson
+summation, sum_ell exp(2i ell r'/r) = pi r sum_k delta(r' - k pi r), turns
+the sum over every ell into samples of the transform's own integrand on
+the real r' axis, and the phi integral keeps only the products of ket and
+bra terms of equal offset d.  So
+
+    P(r) = 8 pi h sum_k exp(-u_k) sum_d xi_k^(2d) |p_d(u_k)|^2,
+
+with r_k = k h, u_k = r^2 + r_k^2, xi_k = r + i r_k (its conjugate and |d|
+for d < 0) and h = pi r, or an integer multiple of it at small r where the
+kernel's underflow test zeroes every ring that spacing aliases.  There u is
+real and non-negative, so each p_d is summed as a Laguerre series by the
+stable upward recurrence, not in the monomial form that cancels: against
+60-digit all-ell sums the result is within 8.3e-16 relative at 20 and 40
+quanta, where the rings of the shifted sum were within 3.1e-10 and 7.2e-2.
+
 An independent brute-force check integrates the 4D Cartesian Wigner
 function over the radial momentum along the ray (r, phi); the two routes
 agree up to one global constant (empirically 4 pi^2, see KAPPA).
@@ -27,13 +43,14 @@ agree up to one global constant (empirically 4 pi^2, see KAPPA).
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import floor, hypot, isfinite, pi, sqrt
 
 import numpy as np
 
 from .entangled import amplitude_terms
 from .errors import ConvergenceError, QuadratureOrderError, QuadratureResidueError, TruncationWarning
 from .quadrature import QuadKind, deweighted, gauss_hermite
+from .specfun import laguerre_table
 from .twomode import CartesianPoint4, _wigner_4d
 
 #: Ratio wigner_cyl / oracle_cyl_from_cartesian.  The literal factor 4 in
@@ -67,13 +84,26 @@ class CylPoint:
 
 
 def _integer_ell(ell):
-    """ell as an array; ValueError unless every value is an integer.  Checked before
-    any int cast, which would truncate 0.5 to 0 and overflow on an infinity."""
+    """ell as an array; ValueError unless every value is an integer that fits int64.
+    Checked before any int cast, which would truncate 0.5 to 0 and overflow on an
+    infinity; numpy holds a Python int past int64 as an object."""
     ell = np.asarray(ell)
-    if ell.dtype.kind not in "iu":
+    too_wide = ValueError("ell must be an integer of at most 64 bits")
+    if ell.dtype.kind == "O":  # compared exactly: 10**400 overflows a float
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in ell.flat):
+            raise too_wide
+        ell = ell.astype(np.int64 if all(isinstance(v, int) for v in ell.flat) else float)
+    if ell.dtype.kind == "u":
+        fits = np.all(ell < 2 ** 63)
+    elif ell.dtype.kind == "i":
+        fits = True
+    else:
         with np.errstate(invalid="ignore"):  # mod of +-inf or nan is nan, refused
             if not np.all(np.mod(ell, 1) == 0):
                 raise ValueError("ell must be an integer")
+        fits = np.all((ell >= -2.0 ** 63) & (ell < 2.0 ** 63))
+    if not fits:
+        raise too_wide
     return ell
 
 
@@ -109,6 +139,13 @@ def _check_rule(rule, max_quanta):
         )
 
 
+def _alive(expo, quanta, reach):
+    """The kernel's underflow test: False where exp(-expo) times the polynomial
+    part, taken to be at most (2 + reach)^(2 quanta) when |xi| <= reach, is below
+    the smallest double, and where the exponent is nan."""
+    return expo - 2 * quanta * np.log(2.0 + reach) <= 745.0
+
+
 #: Complex elements in one (rows, phi, nodes) temporary of the kernel.
 #: At 64 KiB a block's temporaries stay in cache and are reused from the
 #: heap, so a grid of any size adds no resident memory; 512 KiB blocks
@@ -119,8 +156,8 @@ _BLOCK = 1 << 12
 def _evaluate(s, r, ell, phi, rule):
     """W on rows of (r, ell) points times a phi axis, as a (rows, len(phi)) array.
 
-    The one evaluation kernel behind the point, grid and marginal entry
-    points: the contour-shifted Gauss-Hermite sum on arrays of shape
+    The one evaluation kernel behind the point, grid and angle-OAM marginal
+    entry points: the contour-shifted Gauss-Hermite sum on arrays of shape
     (rows, phi, nodes), summed over the nodes.  Along the shifted contour
     u = xi_fwd xi_bwd = r^2 + (t + i ell/r)^2 does not involve phi, so the
     state's diagonal polynomials are evaluated once per (row, node) and phi
@@ -146,8 +183,8 @@ def _evaluate(s, r, ell, phi, rule):
     with np.errstate(over="ignore", invalid="ignore"):
         shift = ell / r
         expo = r * r + shift * shift
-        bound = 2 * max_quanta * np.log(2.0 + r + np.abs(shift) + rule.nodes[-1])
-        live = np.flatnonzero((expo <= 700.0) | (expo - bound <= 745.0))
+        reach = r + np.abs(shift) + rule.nodes[-1]
+        live = np.flatnonzero((expo <= 700.0) | _alive(expo, max_quanta, reach))
     # rows in blocks and a long phi axis in slices: no temporary grows with the grid
     width = max(1, _BLOCK // rule.order)
     step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
@@ -218,30 +255,84 @@ def marginal_angle_oam(s, phi, ell, radial_rule):
     return float(np.sum(radial_rule.weights * vals))
 
 
-def marginal_radial(s, r, ell_max):
-    """Radial distribution: sum over |ell| <= ell_max of Int_0^{2pi} W dphi.
+def _negligible_past(r, quanta, reach0):
+    """Least x past which every term at |xi|^2 = r^2 + x^2, |xi| <= reach0 + x, is
+    zero by the kernel's underflow test; None if every term is.
+
+    The test's exponent r^2 + x^2 - 2 quanta log(2 + reach0 + x) falls to its
+    minimum, where x (2 + reach0 + x) = quanta, and then rises; past the minimum
+    the fixed-point iteration below climbs to where it crosses the threshold.
+    """
+    c = 2.0 + reach0
+    x = 2 * quanta / (c + hypot(c, 2 * sqrt(quanta)))  # the minimum, without overflow
+    if not _alive(r * r + x * x, quanta, reach0 + x):
+        return None
+    while _alive(r * r + x * x, quanta, reach0 + x):  # 1e-3 past the fixed point ends it
+        x = sqrt(745.0 + 2 * quanta * np.log(c + x) - r * r) + 1e-3
+    return x
+
+
+def _radial_spacing(s, r):
+    """Sample spacing h of the radial sum: pi r, or the largest m pi r whose
+    extra aliases, the rings at ell = j/m for j not a multiple of m, all
+    underflow by the kernel's test."""
+    a = _negligible_past(r, s.max_total_quanta, r + float(default_rule(s).nodes[-1]))
+    if a is None:  # every ring underflows
+        return pi * r
+    q = 1.0 / (a * r)  # the largest admissible m, inf at a subnormal r
+    return pi * r * max(1, floor(q)) if isfinite(q) else pi / a
+
+
+def _radial_sum(s, r, h):
+    """The Poisson sum of the radial marginal at sample spacing h."""
+    x = _negligible_past(r, s.max_total_quanta, r)
+    if x is None:
+        return 0.0
+    rp = h * np.arange(-np.ceil(x / h), np.ceil(x / h) + 1)
+    u = r * r + rp * rp
+    offsets, series = s.laguerre_stack
+    p = np.sum(series[:, :, None] * laguerre_table(len(series) - 1, np.abs(offsets)[:, None], u),
+               axis=0)
+    # ket_d bra_d = xi^(2|d|) |p_d(u)|^2, with xi = r + i r' (its conjugate for d < 0)
+    lam = r + 1j * rp
+    terms = 0.0
+    for d, p_d in zip(offsets.tolist(), p):
+        sq = p_d.real ** 2 + p_d.imag ** 2
+        if d:
+            sq = (lam if d > 0 else lam.conj()) ** (2 * abs(d)) * sq
+        terms = terms + sq
+    terms = np.exp(-u) * terms
+    total = np.sum(terms)
+    scale = np.sum(np.abs(terms))
+    # written so that a nan fails both tests
+    if not abs(total.imag) <= 1e-9 * scale:
+        raise QuadratureResidueError(
+            "imaginary residue of the radial Poisson sum exceeds tolerance")
+    if not abs(terms[0]) + abs(terms[-1]) <= 1e-15 * scale:
+        raise ConvergenceError(
+            f"edge samples at |r'| = {rp[-1]:.3g} are not negligible")
+    return float(8.0 * pi * h * total.real)
+
+
+def marginal_radial(s, r, ell_max=None):
+    """Radial distribution: the sum over every ell of Int_0^{2pi} W dphi.
 
     Plain dr measure (no r Jacobian), matching the angle-OAM marginal's
-    literal convention.  The phi integral is a uniform rule, exact for the
-    trigonometric polynomial W is in phi: its frequencies are differences
-    of two table offsets, so span + 1 nodes suffice, one for a state with a
-    single OAM value.
+    literal convention.  Computed by Poisson summation over ell (see the
+    module docstring): samples of the transform's integrand on the real r'
+    axis, out to where the kernel's underflow test zeroes them.  Raises
+    QuadratureResidueError if the sum is not real, and ConvergenceError if
+    its edge samples are not negligible.
+
+    ``ell_max`` does not change the value, which is the all-ell sum; it is
+    accepted for callers that pass it, and a negative one is refused.
     """
-    if ell_max < 0:
+    if ell_max is not None and ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
-    table = s.amplitude_table
-    n_phi = table[-1][0] - table[0][0] + 1
-    wphi = 2.0 * pi / n_phi
-    phis = wphi * np.arange(n_phi)  # linspace(0, 2pi, n_phi, endpoint=False), bit for bit
-    vals = _evaluate(s, r, np.arange(-ell_max, ell_max + 1), phis, None)
-    rings = [wphi * sum(row) for row in vals.tolist()]
-    total = sum(rings)
-    edge = abs(rings[-1]) + abs(rings[0])
-    if edge > 1e-10 * max(abs(total), 1e-300):
-        raise ConvergenceError(
-            f"|ell| = {ell_max} ring still contributes {edge:.3e}; increase ell_max"
-        )
-    return float(total)
+    if not (isfinite(r) and r > 0):
+        raise ValueError("r must be strictly positive")
+    r = float(r)
+    return _radial_sum(s, r, _radial_spacing(s, r))
 
 
 def oracle_cyl_from_cartesian(s, at, pr_rule):

@@ -19,7 +19,7 @@ from math import comb, exp, lgamma, pi, sqrt
 import numpy as np
 
 from .errors import OrderBoundError, QuadratureResidueError, TruncationWarning
-from .specfun import MAX_TOTAL_ORDER, hermite2_diagonals, laguerre_table
+from .specfun import MAX_TOTAL_ORDER, hermite2_diagonals, laguerre_diagonals, laguerre_table
 
 _NORM_TOL = 1e-10
 
@@ -82,6 +82,13 @@ class TwoModeFock:
         u = lam lam_bar.
         """
         return hermite2_diagonals(self.coeffs)
+
+    @cached_property
+    def laguerre_stack(self):
+        """The amplitude's diagonals as Laguerre series, ``(offsets, series)`` from
+        :func:`specfun.laguerre_diagonals`, computed once: what the radial marginal
+        reads, where u is real."""
+        return laguerre_diagonals(self.coeffs)
 
     @cached_property
     def amplitude_stack(self):
@@ -267,8 +274,10 @@ def wigner_4d(s, at):
     vacuum gives exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.  A batch of
     points gives an array of values, from one batched matrix product.
     """
-    # |a_x|^2 + |a_y|^2 > cutoff/2 + 1/2, with a = (q + i p)/sqrt(2) per mode
-    reach = np.square(at.x) + np.square(at.p_x) + np.square(at.y) + np.square(at.p_y)
+    # |a_x|^2 + |a_y|^2 > cutoff/2 + 1/2, with a = (q + i p)/sqrt(2) per mode; a square
+    # that overflows is inf, still past the cutoff
+    with np.errstate(over="ignore"):
+        reach = np.square(at.x) + np.square(at.p_x) + np.square(at.y) + np.square(at.p_y)
     if np.any(reach > s.cutoff + 1.0):
         warnings.warn(
             "displacement amplitude^2 exceeds cutoff/2; the truncated table "

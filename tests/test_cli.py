@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,9 +7,12 @@ import tracemalloc
 from math import exp, pi, sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cylwigner.cli import main
+from cylwigner import __version__, gauss_hermite, wigner_cyl_grid
+from cylwigner.cli import GridRequest, _fmt, main, write_grid_csv
+from cylwigner.statespec import build_state, parse_state_spec, serialize_state_spec
 
 
 VACUUM = "raw c[0,0]=1"
@@ -107,6 +111,16 @@ def test_huge_grid_rejected_before_allocating(capsys, axes):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("ell", [2 ** 70, 10 ** 400])
+def test_ell_past_int64_exit_3(capsys, ell):
+    code, out, err = run(capsys, ["wigner-cyl", "--state", "eigenstate N=2 l0=0", "--nr", "1",
+                                  "--nphi", "1", "--lmin", str(ell), "--lmax", str(ell)])
+    assert code == 3 and out == ""
+    record = json.loads(err)  # one JSON record, no traceback
+    assert record["exit"] == 3 and record["error"] == "ValueError"
+    assert "64 bits" in record["message"]
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_oracle_check_needs_a_point_exit_3(capsys, n):
     code, _, err = run(capsys, ["oracle-check", "--state", VACUUM, "--n-points", n])
@@ -140,6 +154,43 @@ def test_byte_determinism(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_bytes()) > 0
+
+
+def _per_row_csv(fh, spec, req, grid):
+    """The CSV writer as it was, formatting every axis value on every row."""
+    r, phi, ell = grid.r_nodes, grid.phi_nodes, grid.ell_values
+    fh.write(f"# cylwigner-grid v{__version__}\n")
+    fh.write(f"# state: {serialize_state_spec(spec)}\n")
+    fh.write(f"# quad_order: {req.quad_order}\n")
+    fh.write("# r_nodes: " + " ".join(_fmt(v) for v in r) + "\n")
+    fh.write("# phi_nodes: " + " ".join(_fmt(v) for v in phi) + "\n")
+    fh.write("# ell_values: " + " ".join(str(int(v)) for v in ell) + "\n")
+    fh.write("# columns: r,phi,ell,W\n")
+    for i, rv in enumerate(r):
+        for j, pv in enumerate(phi):
+            for k, lv in enumerate(ell):
+                fh.write(f"{_fmt(rv)},{_fmt(pv)},{int(lv)},{_fmt(grid.values[i, j, k])}\n")
+
+
+@pytest.mark.parametrize("text", ["superposition l1=3 l2=-3 phi0=0 Nmax=9",
+                                  "summed l0=0 Nmax=20"])
+@pytest.mark.parametrize("axes", [
+    # r and phi values whose .17g form has an exponent
+    ([1e-5, 3.25e-7, 0.3, 1.7], [0.0, 1e-20, 5e-5, 2.0], range(-3, 4)),
+    # more rows per r node than one write holds
+    ([0.8], np.linspace(0.0, 2.0 * pi, 700, endpoint=False), range(-3, 3)),
+])
+def test_csv_writer_matches_the_per_row_writer(text, axes):
+    spec = parse_state_spec(text)
+    state = build_state(spec)
+    req = GridRequest(1e-3, 6.0, 1, 1, -3, 3, state.max_total_quanta + 8)
+    grid = wigner_cyl_grid(state, *axes, gauss_hermite(req.quad_order))
+    got, want = io.StringIO(), io.StringIO()
+    write_grid_csv(got, spec, req, grid)
+    _per_row_csv(want, spec, req, grid)
+    assert got.getvalue() == want.getvalue()
+    if len(axes[0]) > 1:
+        assert "e-07," in got.getvalue() and "e-21," in got.getvalue()  # 1e-20 reads 9.99...e-21
 
 
 @pytest.mark.parametrize("state", [

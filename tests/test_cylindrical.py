@@ -55,6 +55,12 @@ def test_point_validation():
         CylPoint(1.0, 0.0, 0.5)
     with pytest.raises(ValueError, match="ell"):  # not truncated to ell = 0
         wigner_cyl_grid(vacuum_state(), [1.0], [0.0], [0.5])
+    # nor wrapped or overflowed past int64
+    for huge in (2 ** 70, 10 ** 400, -2 ** 63 - 1):
+        with pytest.raises(ValueError, match="64 bits"):
+            CylPoint(1.0, 0.0, huge)
+        with pytest.raises(ValueError, match="64 bits"):
+            wigner_cyl_grid(vacuum_state(), [1.0], [0.0], [0, huge])
     assert CylPoint(1.0, 2 * pi + 0.3, -1).phi == pytest.approx(0.3)
 
 
@@ -216,12 +222,13 @@ def test_marginal_radial_vacuum():
 
 def test_marginal_radial_is_the_phi_sum_of_points():
     s = make_superposition(3, -3, 0.0, 9)
-    r, ell_max = 1.1, 16
+    r, ell_max = 1.1, 40  # the kernel underflows every ring past |ell| = 40 at this r
     n_phi = 7  # W's phi-frequencies are offset differences, at most 3 - (-3) = 6
     phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
     rings = [2.0 * pi / n_phi * sum(wigner_cyl(s, CylPoint(r, p, ell)) for p in phis)
              for ell in range(-ell_max, ell_max + 1)]
-    assert marginal_radial(s, r, ell_max) == sum(rings)
+    assert rings[0] == rings[-1] == 0.0
+    assert marginal_radial(s, r) == pytest.approx(sum(rings), rel=1e-12, abs=0)
 
 
 def test_marginal_radial_matches_the_dense_phi_rule(rng):
@@ -245,8 +252,31 @@ def test_marginal_radial_errors():
     for state in (s, make_summed_oam(0, 4), make_superposition(1, -1, 0.0, 3)):
         with pytest.raises(ValueError, match="ell_max"):
             marginal_radial(state, 1.0, -1)
+    # ell_max does not change the value: it is the sum over every ell
+    got = marginal_radial(s, 2.0, 1)
+    assert got == marginal_radial(s, 2.0, 40) == marginal_radial(s, 2.0)
+    want = sum(2.0 * pi * vacuum_closed_form(2.0, ell) for ell in range(-60, 61))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_marginal_radial_edge_guard(monkeypatch):
+    s = make_summed_oam(0, 4)
+    # samples stopped at |r'| <= 1, where the integrand is far from negligible
+    monkeypatch.setattr(cylindrical, "_negligible_past", lambda r, quanta, reach0: 1.0)
     with pytest.raises(ConvergenceError):
-        marginal_radial(s, 2.0, 1)
+        marginal_radial(s, 0.5)
+
+
+def test_marginal_radial_realness_check(monkeypatch):
+    s = make_summed_oam(2, 6)  # one offset: no conjugate offset to pair a sample's phase
+    exact = cylindrical.laguerre_table
+
+    def lopsided(p, alpha, u):  # breaks the conjugate symmetry of the samples +-r'
+        return exact(p, alpha, u) * (1.0 + 0.1 * (np.arange(u.size) > u.size // 2))
+
+    monkeypatch.setattr(cylindrical, "laguerre_table", lopsided)
+    with pytest.raises(QuadratureResidueError):
+        marginal_radial(s, 1.0)
 
 
 def test_oracle_ratio_is_kappa(rng):

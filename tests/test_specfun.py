@@ -8,7 +8,8 @@ import pytest
 
 from cylwigner import hermite2, laguerre
 from cylwigner.errors import OrderBoundError
-from cylwigner.specfun import MAX_TOTAL_ORDER, hermite2_general, laguerre_table
+from cylwigner.specfun import (MAX_TOTAL_ORDER, hermite2_diagonals, hermite2_general,
+                               laguerre_diagonals, laguerre_table)
 
 
 def hermite2_bruteforce(m, n, lam):
@@ -164,3 +165,18 @@ def test_hermite_laguerre_reduction(rng):
         want = ((-1) ** n * factorial(n) * lam ** (m - n)
                 * laguerre(n, m - n, abs(lam) ** 2))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_laguerre_diagonals_are_the_hermite_diagonals(rng):
+    # the same polynomials p_d(u), in Laguerre and in monomial form, at small u where
+    # the monomial form is accurate; zero entries and both signs of d included
+    coeffs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    coeffs[1, 3] = coeffs[4, 0] = 0.0
+    u = rng.uniform(0.0, 3.0, size=7)
+    offsets, series = laguerre_diagonals(coeffs)
+    table = hermite2_diagonals(coeffs)
+    assert offsets.tolist() == [d for d, _ in table] == list(range(-3, 5))  # no d = -4
+    for i, (d, p) in enumerate(table):
+        want = np.polyval(p, u)
+        got = laguerre_table(len(series) - 1, abs(d), u).T @ series[:, i]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(p).sum())

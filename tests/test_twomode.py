@@ -196,6 +196,15 @@ def test_wigner_4d_batch_warns_its_caller():
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wigner_4d_far_point_warns_once_then_refuses():
+    # the far-displacement test squares 1e200: an overflow it handles, not a numpy warning
+    with pytest.warns(TruncationWarning) as record:
+        with pytest.raises(QuadratureResidueError):
+            wigner_4d(make_summed_oam(0, 4), CartesianPoint4(1e200, 0.0, 0.0, 0.0))
+    assert [w.category for w in record] == [TruncationWarning]
+
+
 @pytest.mark.filterwarnings("ignore::cylwigner.errors.TruncationWarning")
 def test_wigner_4d_residue_test_is_per_value(monkeypatch):
     # node 0 is 1e-4 of node 1; a relative residue of 1e-8 on node 0 alone
