@@ -46,6 +46,9 @@ class GridRequest:
     quad_order: int
 
     def __post_init__(self):
+        for name in ("r_min", "r_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.r_min <= 0:
             raise ValueError("r_min must be strictly positive (r = 0 is excluded)")
         if self.r_max <= self.r_min:

@@ -8,8 +8,10 @@ cylindrical Wigner transform integrates.
 
 A state's amplitude polynomial is evaluated from its cached diagonal table
 (``TwoModeFock.amplitude_stack``): one polynomial in u = lam lam_bar per OAM
-value, times a power of lam or lam_bar.  The explicit Hermite sum is used
-only for single Fock overlaps (:func:`xi_fock_overlap`).
+value, times a power of lam or lam_bar, in the monomial form of the state's
+Laguerre series (``TwoModeFock.laguerre_stack``).  A single Fock overlap
+(:func:`xi_fock_overlap`) evaluates one Hermite polynomial through the same
+Laguerre reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass

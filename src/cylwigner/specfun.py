@@ -2,16 +2,18 @@
 
 Two families are needed: the bivariate (two-variable) Hermite polynomials
 H_{m,n}, which carry the Fock-basis expansion of the EPR-type eigenstates,
-and the generalized Laguerre polynomials L_p^alpha, which show up both in
-the closed-form OAM eigenstate profiles and in displaced-Fock overlaps.
+and the generalized Laguerre polynomials L_p^alpha, which show up in the
+closed-form OAM eigenstate profiles and in displaced-Fock overlaps.  The
+first reduce to the second: H_{m,n}(lam, lam_bar) = (-1)^n n! lam^(m-n)
+L_n^(m-n)(lam lam_bar) for m >= n, and its mirror for m < n.
 
-A whole Fock table's Hermite combination is kept in diagonal form
-(:func:`hermite2_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
+A whole Fock table's Hermite combination is expanded once, in diagonal form
+(:func:`laguerre_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
 i - j = m - n, so the combination is a short list of offsets d, each with a
-polynomial in u = lam lam_bar.
+Laguerre series in u = lam lam_bar.
 """
 
-from math import comb, exp, factorial, lgamma, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -42,62 +44,33 @@ def hermite2_general(m, n, lam, lam_bar):
     The two arguments are treated as independent complex variables, which
     is what analytic continuation off the real integration axis requires.
     For ``lam_bar == conj(lam)`` this coincides with :func:`hermite2`.
+    Evaluated by the Laguerre reduction: (-1)^k k! lam^(m-k) L_k^|m-n|(lam
+    lam_bar) with k = n for m >= n, and lam_bar^(n-k) with k = m for m < n.
 
     Accepts scalars or numpy arrays (broadcast together).
     """
     _check_indices(m, n)
     lam = np.asarray(lam, dtype=complex)
     lam_bar = np.asarray(lam_bar, dtype=complex)
-    terms = []
-    for k in range(min(m, n) + 1):
-        logc = (lgamma(m + 1) + lgamma(n + 1)
-                - lgamma(k + 1) - lgamma(m - k + 1) - lgamma(n - k + 1))
-        terms.append((-1.0) ** k * np.exp(logc) * lam ** (m - k) * lam_bar ** (n - k))
-    # np.sum over the stacked term axis uses pairwise accumulation
-    total = np.sum(np.stack(np.broadcast_arrays(*terms)), axis=0)
+    k = min(m, n)
+    power = lam ** (m - k) if m >= n else lam_bar ** (n - k)
+    total = (-1) ** k * factorial(k) * power * laguerre(k, abs(m - n), lam * lam_bar)
     if total.ndim == 0:
         return complex(total)
     return total
 
 
-def hermite2_diagonals(coeffs):
+def laguerre_diagonals(coeffs):
     """Sum of coeffs[m, n] H_{n,m}(lam, lam_bar) / sqrt(m! n!) in diagonal form.
 
-    Returns ``((d, p_d), ...)`` over the occupied offsets d = n - m in
-    ascending order, where p_d holds the coefficients of a polynomial in
-    u = lam lam_bar, highest power first, and the sum equals
-    Sum_d lam^d p_d(u) (lam_bar^-d p_d(u) for d < 0).  This is the Fock
-    expansion of an entangled-basis amplitude with coeffs[n+, n-]: one
-    offset per OAM value n+ - n- = -d, of degree at most min(n+, n-).
-    """
-    coeffs = np.asarray(coeffs)
-    support = np.argwhere(coeffs != 0)
-    parts = {}
-    for m, n in support.tolist():
-        # H_{n,m} = lam^(n-m) Sum_k (-1)^k C(m,k) C(n,k) k! u^(min - k) for n >= m
-        scale = complex(coeffs[m, n]) / sqrt(factorial(m) * factorial(n))
-        parts.setdefault(n - m, []).append(
-            [(-1) ** k * comb(m, k) * comb(n, k) * factorial(k) * scale
-             for k in range(min(m, n) + 1)])
-    table = []
-    for d in sorted(parts):
-        p = np.zeros(max(len(v) for v in parts[d]), dtype=complex)
-        for v in parts[d]:
-            p[len(p) - len(v):] += v
-        p.setflags(write=False)
-        table.append((d, p))
-    return tuple(table)
-
-
-def laguerre_diagonals(coeffs):
-    """The diagonal form of :func:`hermite2_diagonals` as Laguerre series.
-
-    Returns ``(offsets, series)``: p_d(u) = Sum_k series[k, i] L_k^|d|(u) with
-    d = offsets[i], from H_{n,m} = (-1)^m m! lam^(n-m) L_m^(n-m)(u) for n >= m
-    (and its mirror for n < m), so every coefficient is at most the Fock
-    coefficient in modulus.  On u >= 0 the series is summed stably by
-    :func:`laguerre_table`, where the monomial form cancels: at 40 quanta its
-    Horner sum loses about 9 digits.
+    This is the Fock expansion of an entangled-basis amplitude with
+    coeffs[n+, n-]: one offset d = n - m per OAM value n+ - n- = -d, and the
+    sum equals Sum_d lam^d p_d(u) (lam_bar^-d p_d(u) for d < 0).  Returns
+    ``(offsets, series)`` over the occupied offsets in ascending order, with
+    p_d(u) = Sum_k series[k, i] L_k^|d|(u), d = offsets[i], from the reduction
+    above, so every coefficient is at most the Fock coefficient in modulus.
+    On u >= 0 the series is summed stably by :func:`laguerre_table`, where
+    the monomial form cancels: at 40 quanta its Horner sum loses about 9 digits.
     """
     coeffs = np.asarray(coeffs)
     support = np.argwhere(coeffs != 0).tolist()
@@ -105,9 +78,9 @@ def laguerre_diagonals(coeffs):
     series = np.zeros((max(min(m, n) for m, n in support) + 1, len(offsets)), dtype=complex)
     for m, n in support:
         k, alpha = min(m, n), abs(n - m)
-        # coeffs / sqrt(m! n!) times (-1)^k k!, as one ratio that does not overflow
+        # coeffs / sqrt(m! n!) times (-1)^k k!, from one correctly rounded ratio
         series[k, offsets.index(n - m)] += (coeffs[m, n] * (-1) ** k
-                                            * exp(0.5 * (lgamma(k + 1) - lgamma(k + alpha + 1))))
+                                            * sqrt(factorial(k) / factorial(k + alpha)))
     offsets = np.array(offsets)
     for a in (offsets, series):
         a.setflags(write=False)
@@ -123,14 +96,15 @@ def laguerre_table(p, alpha, x):
     """Generalized Laguerre polynomials L_n^alpha(x) for every degree n = 0..p.
 
     One upward three-term recurrence in n over broadcast arrays of alpha and
-    x, returned with a leading degree axis.  It is backward stable on the
-    non-negative real axis, which is the only region used here.
+    x, returned with a leading degree axis: float for a real x, complex for
+    a complex one.  It is backward stable on the non-negative real axis.
     """
     alpha = np.asarray(alpha)
     if p < 0 or np.any(alpha < 0):
         raise ValueError(f"Laguerre indices must be non-negative, got ({p}, {alpha})")
-    x = np.asarray(x, dtype=float)
-    table = np.zeros((p + 2,) + np.broadcast_shapes(alpha.shape, x.shape))
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, np.float64), copy=False)
+    table = np.zeros((p + 2,) + np.broadcast_shapes(alpha.shape, x.shape), dtype=x.dtype)
     table[1] = 1.0  # table[n + 1] holds L_n; the zero row L_-1 starts the recurrence
     # the coefficients 2k - 1 + alpha - x and k - 1 + alpha of every step at once
     steps = np.arange(1, p + 1).reshape((-1,) + (1,) * (table.ndim - 1))
@@ -143,5 +117,5 @@ def laguerre(p, alpha, x):
     """Generalized Laguerre polynomial L_p^alpha(x): the last row of :func:`laguerre_table`."""
     cur = laguerre_table(p, alpha, x)[p]
     if cur.ndim == 0:
-        return float(cur)
+        return cur.item()
     return cur

@@ -8,18 +8,20 @@ x/y mode basis enters only through explicit basis rotations.
 A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta
 by construction: both are checked once, when the table is built, so no
 evaluator re-checks them.  The constructors check the bound on their top
-quanta before they allocate a table.
+quanta before they allocate a table.  A state expands its entangled-basis
+amplitude once, as Laguerre series (``laguerre_stack``), and the cylindrical
+kernel reads their monomial form (``amplitude_stack``).
 """
 
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, exp, lgamma, pi, sqrt
+from math import comb, exp, factorial, lgamma, pi, sqrt
 
 import numpy as np
 
 from .errors import OrderBoundError, QuadratureResidueError, TruncationWarning
-from .specfun import MAX_TOTAL_ORDER, hermite2_diagonals, laguerre_diagonals, laguerre_table
+from .specfun import MAX_TOTAL_ORDER, laguerre_diagonals, laguerre_table
 
 _NORM_TOL = 1e-10
 
@@ -74,43 +76,32 @@ class TwoModeFock:
         return _to_xy(self)
 
     @cached_property
-    def amplitude_table(self):
-        """The entangled-basis amplitude in diagonal form, computed once.
-
-        ``((d, p_d), ...)`` from :func:`specfun.hermite2_diagonals`: one
-        offset d = n- - n+ per OAM value, with a polynomial p_d in
-        u = lam lam_bar.
-        """
-        return hermite2_diagonals(self.coeffs)
-
-    @cached_property
     def laguerre_stack(self):
-        """The amplitude's diagonals as Laguerre series, ``(offsets, series)`` from
-        :func:`specfun.laguerre_diagonals`, computed once: what the radial marginal
-        reads, where u is real."""
+        """The entangled-basis amplitude in diagonal form, computed once: ``(offsets,
+        series)`` from :func:`specfun.laguerre_diagonals`, one offset d = n- - n+ per
+        OAM value with a Laguerre series in u = lam lam_bar.  The radial marginal reads
+        it where u is real, and :attr:`amplitude_stack` is built from it."""
         return laguerre_diagonals(self.coeffs)
 
     @cached_property
     def amplitude_stack(self):
-        """``amplitude_table`` as ``(offsets, coeffs)`` for one Horner pass: coeffs[j, 0, i]
-        is the coefficient of u^(degree - j) in p_d, d = offsets[i], zero-padded at the
-        top; a complex table adds conj(p_d) as coeffs[:, 1], read by the bra side."""
-        table = self.amplitude_table
-        offsets = np.array([d for d, _ in table])
-        coeffs = np.zeros((max(len(p) for _, p in table), 1, len(table)), dtype=complex)
-        for i, (_, p) in enumerate(table):
-            coeffs[len(coeffs) - len(p):, 0, i] = p
+        """``laguerre_stack`` in monomial form, as ``(offsets, coeffs)`` for one Horner pass:
+        coeffs[j, 0, i] is the coefficient of u^(degree - j) in p_d, d = offsets[i],
+        zero-padded at the top; a complex table adds conj(p_d) as coeffs[:, 1], read by
+        the bra side.  Each series is converted through
+        L_k^a(u) = Sum_j (-1)^j C(k + a, k - j) u^j / j!."""
+        offsets, series = self.laguerre_stack
+        degrees = range(len(series))
+        coeffs = np.zeros((len(series), 1, len(offsets)), dtype=complex)
+        for i, a in enumerate(np.abs(offsets).tolist()):
+            basis = np.array([[(-1) ** j * comb(k + a, k - j) / factorial(j) if k >= j else 0.0
+                               for k in degrees] for j in degrees])
+            coeffs[::-1, 0, i] = np.sum(basis * series[:, i], axis=1)
         if coeffs.imag.any():
             coeffs = np.concatenate([coeffs, coeffs.conj()], axis=1)
         for a in (offsets, coeffs):
             a.setflags(write=False)
         return offsets, coeffs
-
-    def support(self):
-        """Iterate over (n_plus, n_minus, coefficient) for nonzero entries."""
-        for (np_, nm), c in np.ndenumerate(self.coeffs):
-            if c != 0:
-                yield np_, nm, c
 
 
 @dataclass(frozen=True)

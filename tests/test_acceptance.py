@@ -19,7 +19,6 @@ from cylwigner import (CylPoint, EntangledArg, TwoModeFock, gauss_hermite,
                        psi_entangled, rotate_state, wigner_cyl)
 from cylwigner.cylindrical import default_rule
 from cylwigner.entangled import amplitude_polynomial
-from cylwigner.errors import ConvergenceError
 
 
 def _report(num, name, ok, detail):
@@ -146,19 +145,10 @@ def test_criterion_5_oracle_equivalence():
             f"spread {spread:.2e} (tol 1e-6), elapsed {elapsed:.1f}s (limit 60s)")
 
 
-def _radial_profile_point(s, r):
-    ell_max = max(3, int(5.5 * r) + 3)
-    while True:
-        try:
-            return marginal_radial(s, r, ell_max)
-        except ConvergenceError:
-            ell_max += 4
-
-
 def test_criterion_6_concentric_rings():
     s = make_summed_oam(0, 20)
     r_nodes = np.linspace(0.15, 5.8, 110)
-    profile = np.array([_radial_profile_point(s, r) for r in r_nodes])
+    profile = np.array([marginal_radial(s, r) for r in r_nodes])
     maxima = sum(1 for i in range(1, len(profile) - 1)
                  if profile[i - 1] < profile[i] > profile[i + 1])
     ok = maxima >= 3

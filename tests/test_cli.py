@@ -94,6 +94,21 @@ def test_precondition_exit_3_grid(capsys):
     assert "r_min" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("bound", [["--r-max", "inf"], ["--r-min", "nan"]])
+def test_non_finite_r_bound_exit_3(bound):
+    # a subprocess, so that a numpy RuntimeWarning would reach stderr as it does for users
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cylwigner.cli", "wigner-cyl", "--state", VACUUM, "--nr", "2",
+         "--nphi", "1", "--lmax", "0"] + bound,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 3 and done.stdout == ""
+    line, = done.stderr.splitlines()
+    record = json.loads(line)
+    assert record["exit"] == 3 and record["error"] == "ValueError"
+    assert record["message"] == f"{bound[0][2:].replace('-', '_')} must be finite"
+
+
 @pytest.mark.parametrize("axes", [
     ["--nr", "1", "--nphi", "1000000000000"],
     ["--nr", "1", "--nphi", "1", "--lmax", "100000000000"],

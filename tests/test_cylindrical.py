@@ -129,7 +129,7 @@ def test_grid_matches_pointwise(rng):
 
 def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):
     s = random_state(rng, cutoff=3)  # seven OAM offsets
-    assert len(s.amplitude_table) >= 3
+    assert len(s.amplitude_stack[0]) >= 3
     r_nodes = [0.3, 0.9, 1.7]
     phi_nodes = np.linspace(0, 2 * pi, 7, endpoint=False)
     ells = [-2, 0, 1, 3]
@@ -236,7 +236,7 @@ def test_marginal_radial_matches_the_dense_phi_rule(rng):
     states = [make_superposition(3, -3, 0.0, 9), make_superposition(1, -2, 0.7, 6),
               random_state(rng, cutoff=3)]
     for s in states:
-        assert len(s.amplitude_table) > 1
+        assert len(s.amplitude_stack[0]) > 1
         n_phi = 4 * s.max_total_quanta + 5
         phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
         for r in (0.7, 1.1, 1.6):

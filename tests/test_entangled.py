@@ -9,7 +9,8 @@ from cylwigner import (EntangledArg, TwoModeFock, gauss_hermite,
 from cylwigner.entangled import amplitude_polynomial, amplitude_terms
 from cylwigner.errors import OrderBoundError
 from cylwigner.quadrature import deweighted
-from cylwigner.specfun import MAX_TOTAL_ORDER, hermite2_general
+from cylwigner.specfun import MAX_TOTAL_ORDER
+from test_specfun import hermite2_bruteforce
 
 
 def random_state(rng, cutoff=3):
@@ -132,21 +133,22 @@ def test_unnormalized_state_rejected():
 
 
 def explicit_amplitude(s, lam, lam_bar, conjugated=False):
-    """The per-entry Hermite sum the diagonal table replaces."""
+    """The per-entry Hermite sum the diagonal table replaces, with exact integer coefficients."""
     out = 0.0
-    for np_, nm, c in s.support():
+    for np_, nm in np.argwhere(s.coeffs).tolist():
+        c = s.coeffs[np_, nm]
         norm = 1.0 / sqrt(factorial(np_) * factorial(nm))
         if conjugated:
-            out = out + np.conj(c) * norm * hermite2_general(np_, nm, lam, lam_bar)
+            out = out + np.conj(c) * norm * hermite2_bruteforce(np_, nm, lam, lam_bar)[0]
         else:
-            out = out + c * norm * hermite2_general(nm, np_, lam, lam_bar)
+            out = out + c * norm * hermite2_bruteforce(nm, np_, lam, lam_bar)[0]
     return out
 
 
 def test_amplitude_table_matches_explicit_hermite_sum(rng):
     for _ in range(5):
         s = random_state(rng, cutoff=3)  # OAM offsets -3..3
-        assert len(s.amplitude_table) >= 3
+        assert len(s.amplitude_stack[0]) >= 3
         # independent complex arguments, as on the shifted contour, not a conjugate pair
         lam = rng.uniform(-2, 2, size=40) + 1j * rng.uniform(-2, 2, size=40)
         lam_bar = rng.uniform(-2, 2, size=40) + 1j * rng.uniform(-2, 2, size=40)
@@ -164,16 +166,18 @@ def test_amplitude_terms_match_explicit_hermite_sums_per_offset(rng):
     lam_bar = rng.uniform(-2, 2, size=(3, 8)) + 1j * rng.uniform(-2, 2, size=(3, 8))
     for s in states:
         offsets, ket, bra = amplitude_terms(s, lam, lam_bar)
-        assert offsets.tolist() == [d for d, _ in s.amplitude_table]
+        assert offsets.tolist() == sorted({nm - np_ for np_, nm in np.argwhere(s.coeffs).tolist()})
         assert ket.shape == bra.shape == (len(offsets),) + lam.shape
         for d, ket_term, bra_term in zip(offsets.tolist(), ket, bra):
-            entries = [(np_, nm, c) for np_, nm, c in s.support() if nm - np_ == d]
+            entries = [(np_, nm) for np_, nm in np.argwhere(s.coeffs).tolist() if nm - np_ == d]
             want_ket = want_bra = 0.0
-            for np_, nm, c in entries:
+            for np_, nm in entries:
+                c = s.coeffs[np_, nm]
                 norm = 1.0 / sqrt(factorial(np_) * factorial(nm))
-                want_ket = want_ket + c * norm * hermite2_general(nm, np_, lam, lam_bar)
+                want_ket = want_ket + c * norm * hermite2_bruteforce(nm, np_, lam, lam_bar)[0]
                 # the bra term of offset -d, at the swapped arguments
-                want_bra = want_bra + np.conj(c) * norm * hermite2_general(np_, nm, lam_bar, lam)
+                want_bra = (want_bra
+                            + np.conj(c) * norm * hermite2_bruteforce(np_, nm, lam_bar, lam)[0])
             assert np.allclose(ket_term, want_ket, rtol=1e-12, atol=0.0)
             assert np.allclose(bra_term, want_bra, rtol=1e-12, atol=0.0)
         # a real table has one coefficient side, and its bra terms are its ket terms
@@ -185,12 +189,15 @@ def test_amplitude_terms_match_explicit_hermite_sums_per_offset(rng):
 def test_amplitude_table_layout():
     s = TwoModeFock(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]]))
     # c[0,1] has OAM -1 (offset 1, degree 0); c[2,2] has OAM 0 (offset 0, degree 2)
-    assert [(d, len(p)) for d, p in s.amplitude_table] == [(0, 3), (1, 1)]
-    assert s.amplitude_table is s.amplitude_table
+    offsets, coeffs = s.amplitude_stack
+    assert offsets.tolist() == [0, 1] and coeffs.shape == (3, 1, 2)
+    assert coeffs[0, 0, 0] != 0  # degree 2 at offset 0
+    assert coeffs[:2, 0, 1].tolist() == [0, 0] and coeffs[2, 0, 1] != 0
+    assert s.amplitude_stack is s.amplitude_stack
 
 
 def test_amplitude_table_order_bound():
     # the bound is checked when the state is built, so no table past it exists
     with pytest.raises(OrderBoundError):
         make_N_l_eigenstate(MAX_TOTAL_ORDER + 2, 0)
-    assert len(make_N_l_eigenstate(MAX_TOTAL_ORDER, 0).amplitude_table) == 1
+    assert len(make_N_l_eigenstate(MAX_TOTAL_ORDER, 0).amplitude_stack[0]) == 1

@@ -1,33 +1,52 @@
 """Special-function tests against independent brute-force oracles."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
 
-from cylwigner import hermite2, laguerre
+from cylwigner import TwoModeFock, hermite2, laguerre
 from cylwigner.errors import OrderBoundError
-from cylwigner.specfun import (MAX_TOTAL_ORDER, hermite2_diagonals, hermite2_general,
-                               laguerre_diagonals, laguerre_table)
+from cylwigner.specfun import (MAX_TOTAL_ORDER, hermite2_general, laguerre_diagonals,
+                               laguerre_table)
 
 
-def hermite2_bruteforce(m, n, lam):
-    """Direct sum with exact integer coefficients (independent of lgamma).
+def hermite2_bruteforce(m, n, lam, lam_bar=None):
+    """Direct sum with exact integer coefficients (independent of the Laguerre route).
 
     Returns ``(value, scale)`` where scale is the sum of term magnitudes;
     the alternating sum is ill-conditioned for large |lam|, so comparisons
     must be made relative to scale rather than to the (possibly tiny) value.
+    ``lam_bar`` defaults to conj(lam); scalars or arrays.
     """
+    lam_bar = np.conj(lam) if lam_bar is None else lam_bar
     total = 0j
     scale = 0.0
     for k in range(min(m, n) + 1):
         coef = factorial(m) * factorial(n) // (
             factorial(k) * factorial(m - k) * factorial(n - k))
-        term = (-1) ** k * coef * lam ** (m - k) * np.conj(lam) ** (n - k)
+        term = (-1) ** k * coef * lam ** (m - k) * lam_bar ** (n - k)
         total += term
         scale += abs(term)
-    return total, max(scale, 1.0)
+    return total, np.maximum(scale, 1.0)
+
+
+def monomial_diagonals(coeffs):
+    """Sum of coeffs[m, n] H_{n,m} / sqrt(m! n!) as {d: p_d}, p_d highest power of u first.
+
+    H_{n,m} = lam^(n-m) Sum_k (-1)^k C(m,k) C(n,k) k! u^(min - k) for n >= m, with
+    exact integer coefficients: the monomial expansion the amplitude table once used.
+    """
+    parts = {}
+    for m, n in np.argwhere(coeffs).tolist():
+        scale = complex(coeffs[m, n]) / sqrt(factorial(m) * factorial(n))
+        p = [(-1) ** k * comb(m, k) * comb(n, k) * factorial(k) * scale
+             for k in range(min(m, n) + 1)]
+        old = parts.get(n - m, [])
+        width = max(len(old), len(p))
+        parts[n - m] = np.pad(old, (width - len(old), 0)) + np.pad(p, (width - len(p), 0))
+    return parts
 
 
 def laguerre_series(p, alpha, x):
@@ -103,6 +122,16 @@ def test_hermite2_general_reduces_to_conjugate_pair(rng):
             hermite2(m, n, lam), rel=1e-13, abs=1e-13)
 
 
+def test_hermite2_general_matches_bruteforce_at_independent_arguments(rng):
+    # lam_bar is not conj(lam) on the shifted contour; orders up to the full bound
+    for _ in range(100):
+        m, n = (int(v) for v in rng.integers(0, MAX_TOTAL_ORDER // 2 + 1, size=2))
+        lam = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
+        lam_bar = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
+        want, scale = hermite2_bruteforce(m, n, lam, lam_bar)
+        assert abs(hermite2_general(m, n, lam, lam_bar) - want) <= 1e-13 * scale
+
+
 def test_hermite2_vectorized(rng):
     lam = rng.uniform(-2, 2, size=5) + 1j * rng.uniform(-2, 2, size=5)
     vec = hermite2(3, 2, lam)
@@ -146,6 +175,20 @@ def test_laguerre_table_matches_series(rng):
         laguerre_table(3, np.array([0, 2, -1]), 1.0)
 
 
+def test_laguerre_table_at_complex_x():
+    # complex x, as hermite2_general passes lam * lam_bar: a complex table; a real x
+    # still gives a float table
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([0.5 + 0.25j, -1.5 + 3.0j, 9.0 - 4.0j, 14.0 + 0.0j])
+    table = laguerre_table(12, np.arange(6)[:, None], x)
+    assert table.dtype == complex
+    for n, alpha, j in np.ndindex(table.shape):
+        want = complex(mpmath.laguerre(n, alpha, complex(x[j])))
+        assert table[n, alpha, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert laguerre_table(12, 3, x.real).dtype == float
+    assert type(laguerre(4, 2, 1.5)) is float and type(laguerre(4, 2, 1.5j)) is complex
+
+
 def test_laguerre_rejects_negative_indices():
     with pytest.raises(ValueError):
         laguerre(-1, 0, 1.0)
@@ -168,15 +211,24 @@ def test_hermite_laguerre_reduction(rng):
 
 
 def test_laguerre_diagonals_are_the_hermite_diagonals(rng):
-    # the same polynomials p_d(u), in Laguerre and in monomial form, at small u where
-    # the monomial form is accurate; zero entries and both signs of d included
+    # the Laguerre series of laguerre_diagonals, and the monomial coefficients the
+    # kernel reads (amplitude_stack, its change of basis), against the exact-integer
+    # monomial expansion; zero entries and both signs of d included
     coeffs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     coeffs[1, 3] = coeffs[4, 0] = 0.0
+    coeffs /= np.linalg.norm(coeffs)
     u = rng.uniform(0.0, 3.0, size=7)
     offsets, series = laguerre_diagonals(coeffs)
-    table = hermite2_diagonals(coeffs)
-    assert offsets.tolist() == [d for d, _ in table] == list(range(-3, 5))  # no d = -4
-    for i, (d, p) in enumerate(table):
-        want = np.polyval(p, u)
+    want = monomial_diagonals(coeffs)
+    assert offsets.tolist() == sorted(want) == list(range(-3, 5))  # no d = -4
+    stack_offsets, stack = TwoModeFock(coeffs).amplitude_stack
+    assert stack_offsets.tolist() == offsets.tolist()
+    assert stack.shape == (len(series), 2, len(offsets))
+    for i, d in enumerate(offsets.tolist()):
+        p = want[d]
         got = laguerre_table(len(series) - 1, abs(d), u).T @ series[:, i]
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(p).sum())
+        assert np.allclose(got, np.polyval(p, u), rtol=1e-12, atol=1e-12 * np.abs(p).sum())
+        top = len(series) - len(p)
+        assert not stack[:top, :, i].any()  # zero-padded above the offset's degree
+        assert np.allclose(stack[top:, 0, i], p, rtol=1e-14, atol=0.0)
+        assert np.array_equal(stack[:, 1, i], stack[:, 0, i].conj())

@@ -52,7 +52,7 @@ def test_eigenstate_precondition_messages():
 def test_summed_oam_weights():
     s = make_summed_oam(2, 8)
     # support sits on N = 2, 4, 6, 8 with weights proportional to 1/sqrt(N+1)
-    support = {(np_, nm): c for np_, nm, c in s.support()}
+    support = {(np_, nm): s.coeffs[np_, nm] for np_, nm in np.argwhere(s.coeffs).tolist()}
     assert set(support) == {(2, 0), (3, 1), (4, 2), (5, 3)}
     ratio = support[(3, 1)] / support[(2, 0)]
     assert ratio == pytest.approx(sqrt(3.0 / 5.0))
@@ -69,9 +69,9 @@ def test_summed_oam_range_error():
 def test_superposition_structure():
     s = make_superposition(3, -3, 0.25, 9)
     assert s.is_normalized
-    oam = {np_ - nm for np_, nm, _ in s.support()}
+    oam = {np_ - nm for np_, nm in np.argwhere(s.coeffs).tolist()}
     assert oam == {3, -3}
-    support = {(np_, nm): c for np_, nm, c in s.support()}
+    support = {(np_, nm): s.coeffs[np_, nm] for np_, nm in np.argwhere(s.coeffs).tolist()}
     # the l2 branch carries the relative phase
     assert np.angle(support[(0, 3)] / support[(3, 0)]) == pytest.approx(0.25)
 
@@ -80,7 +80,8 @@ def test_rotate_state_phases(rng):
     s = random_state(rng, cutoff=2)
     phi0 = 0.8
     r = rotate_state(s, phi0)
-    for np_, nm, c in s.support():
+    for np_, nm in np.argwhere(s.coeffs).tolist():
+        c = s.coeffs[np_, nm]
         assert r.coeffs[np_, nm] == pytest.approx(c * np.exp(1j * phi0 * (np_ - nm)))
     assert r.is_normalized
 
