@@ -1,4 +1,4 @@
-"""Command-line surface: grid computation, marginals, and oracle checks.
+"""Command-line surface: the W(r, phi, ell) grid export and the oracle check.
 
 Exit codes: 0 success, 2 spec parse error, 3 precondition violation,
 4 numerical-contract failure (a tolerance, or a state past MAX_TOTAL_ORDER).

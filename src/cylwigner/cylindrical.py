@@ -43,7 +43,7 @@ agree up to one global constant (empirically 4 pi^2, see KAPPA).
 
 import warnings
 from dataclasses import dataclass
-from math import floor, hypot, isfinite, pi, sqrt
+from math import cos, floor, hypot, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -351,11 +351,12 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     lam = ell / float(r)  # float division: inf at a subnormal r, and no numpy warning
     if not isfinite(lam):  # refused before lam * sin(phi) makes a nan
         raise ValueError("phase-space coordinates must be finite")
-    p_x = pr_rule.nodes * np.cos(phi) - lam * np.sin(phi)
-    p_y = pr_rule.nodes * np.sin(phi) + lam * np.cos(phi)
+    c, sn = cos(phi), sin(phi)
+    p_x = pr_rule.nodes * c - lam * sn
+    p_y = pr_rule.nodes * sn + lam * c
     # no far-displacement warning: the overlap is exact for the truncated table, and the
     # warning, aimed at users approximating untruncated states, would fire at far nodes
-    vals = _wigner_4d(s, CartesianPoint4(r * np.cos(phi), p_x, r * np.sin(phi), p_y))
+    vals = _wigner_4d(s, CartesianPoint4(r * c, p_x, r * sn, p_y))
     total = 0.0
     for term in (deweighted(pr_rule) * vals).tolist():  # node order, left to right
         total += term

@@ -100,16 +100,18 @@ def laguerre_table(p, alpha, x):
     a complex one.  It is backward stable on the non-negative real axis.
     """
     alpha = np.asarray(alpha)
-    if p < 0 or np.any(alpha < 0):
+    if p < 0 or (alpha < 0).any():
         raise ValueError(f"Laguerre indices must be non-negative, got ({p}, {alpha})")
     x = np.asarray(x)
     x = x.astype(np.result_type(x, np.float64), copy=False)
-    table = np.zeros((p + 2,) + np.broadcast_shapes(alpha.shape, x.shape), dtype=x.dtype)
+    table = np.zeros((p + 2,) + np.broadcast(alpha, x).shape, dtype=x.dtype)
     table[1] = 1.0  # table[n + 1] holds L_n; the zero row L_-1 starts the recurrence
-    # the coefficients 2k - 1 + alpha - x and k - 1 + alpha of every step at once
-    steps = np.arange(1, p + 1).reshape((-1,) + (1,) * (table.ndim - 1))
-    for k, a, b in zip(range(1, p + 1), 2 * steps - 1 + alpha - x, steps - 1 + alpha):
-        np.divide(a * table[k] - b * table[k - 1], k, out=table[k + 1, ...])
+    # every step's 2k - 1 + alpha - x and k - 1 + alpha, over the box (broadcasting is slow)
+    column = (p,) + (1,) * (table.ndim - 1)
+    a = np.arange(1, 2 * p, 2).reshape(column) + alpha - x
+    b = np.add(np.arange(p).reshape(column), alpha, out=np.empty(a.shape))
+    for k, a_k, b_k in zip(range(1, p + 1), a, b):
+        np.divide(a_k * table[k] - b_k * table[k - 1], k, out=table[k + 1, ...])
     return table[1:]
 
 

@@ -3,7 +3,7 @@
 States are stored as coefficient tables over (n_plus, n_minus), the photon
 numbers of the circular (chirality) mode pair in which both the total
 number N = n+ + n- and the OAM L = n+ - n- act diagonally.  The Cartesian
-x/y mode basis enters only through explicit basis rotations.
+x/y mode basis enters only through ``mode_rotate_xy_to_pm``.
 
 A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta
 by construction: both are checked once, when the table is built, so no
@@ -69,11 +69,6 @@ class TwoModeFock:
         if len(idx) == 0:
             return 0
         return int(np.max(idx.sum(axis=1)))
-
-    @cached_property
-    def xy_coeffs(self):
-        """The table over (n_x, n_y), computed once and read by every 4D evaluation."""
-        return _to_xy(self)
 
     @cached_property
     def laguerre_stack(self):
@@ -219,20 +214,16 @@ def mode_rotate_xy_to_pm(coeffs_xy):
     return TwoModeFock(_basis_rotation(coeffs_xy, s, s, -1j * s, 1j * s))
 
 
-def _to_xy(s):
-    """Chirality table -> (n_x, n_y) table (inverse of mode_rotate_xy_to_pm)."""
-    q = 1.0 / sqrt(2.0)
-    return _basis_rotation(s.coeffs, q, 1j * q, q, -1j * q)
-
-
 @lru_cache(maxsize=128)
 def _dim_constants(dim):
-    """Read-only arrays of dim alone: k, min(m, n), |m - n|, sqrt(min! / max!), the
-    index of each element's power in displaced_fock_matrix, and the parity (-1)^(m + n)."""
+    """Read-only arrays of dim alone: k, min(m, n), |m - n|, sqrt(min! / max!) signed
+    (-1)^(n - m) for m < n, from exact integers (an lgamma form is 2.2e-15 off at dim 21),
+    the index of each element's power in displaced_fock_matrix, and the parity (-1)^(m + n)."""
     k = np.arange(dim)
     lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
-    lg = np.array([lgamma(i + 1) for i in range(dim)])
-    consts = (k, lo, hi - lo, np.exp(0.5 * (lg[lo] - lg[hi])),
+    ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
+              for n in range(dim)] for m in range(dim)]
+    consts = (k, lo, hi - lo, np.array(ratio),
               hi - lo + dim * np.less.outer(k, k), (-1.0) ** np.add.outer(k, k))
     for a in consts:
         a.setflags(write=False)
@@ -244,16 +235,19 @@ def displaced_fock_matrix(alpha, dim):
 
     Closed form in associated Laguerre polynomials (Cahill & Glauber 1969),
     exact up to roundoff.  An array of alpha gives matrices of shape
-    alpha.shape + (dim, dim), each computed as for that alpha alone.
+    alpha.shape + (dim, dim), each computed as for that alpha alone; -conj(alpha)
+    gives the transpose of alpha's matrix, bit for bit.
     """
     k, lo, order, ratio, gather, _ = _dim_constants(dim)
     alpha = np.asarray(alpha, dtype=complex)[..., None]
-    aa = np.abs(alpha) ** 2
-    # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m)
-    powers = np.concatenate([alpha ** k, (-np.conj(alpha)) ** k], axis=-1)
-    d = ratio * powers[..., gather]
-    d *= np.exp(-aa / 2.0)[..., None]
-    d *= np.moveaxis(laguerre_table(dim - 1, k, aa), 0, -2)[..., lo, order]
+    aa = alpha.real ** 2 + alpha.imag ** 2
+    # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m), its sign in ratio
+    powers = alpha ** k
+    d = ratio * np.concatenate([powers, powers.conj()], axis=-1)[..., gather]
+    d *= np.exp(aa * -0.5)[..., None]
+    # the table is (degree, batch..., order): a transposed view gathers as (batch, m, n)
+    lag = laguerre_table(dim - 1, k, aa).reshape(dim, -1, dim).transpose(1, 0, 2)
+    d *= lag[:, lo, order].reshape(d.shape)
     return d
 
 
@@ -261,9 +255,12 @@ def wigner_4d(s, at):
     """Two-mode Cartesian Wigner function via displaced parity.
 
     W(x, p_x, y, p_y) = <D_x D_y (-1)^N D_y+ D_x+> / pi^2, evaluated exactly
-    in the truncated basis through D(a) P D+(a) = D(2a) P per mode.  The
-    vacuum gives exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.  A batch of
-    points gives an array of values, from one batched matrix product.
+    in the truncated basis through D(a) P D+(a) = D(2a) P per mode, in the modes
+    of the table: D_x(a_x) D_y(a_y) = D_+(a_+) D_-(a_-) with a_(+-) = (a_x -+ i a_y)
+    / sqrt(2), and (-1)^(N_x + N_y) = (-1)^(n+ + n-).  With a = (q + i p)/sqrt(2)
+    per mode, 2 a_(+-) = (x +- p_y) + i (p_x -+ y).  The vacuum gives
+    exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.  A batch of points gives an array
+    of values, from one batched matrix product.
     """
     # |a_x|^2 + |a_y|^2 > cutoff/2 + 1/2, with a = (q + i p)/sqrt(2) per mode; a square
     # that overflows is inf, still past the cutoff
@@ -279,17 +276,15 @@ def wigner_4d(s, at):
 
 def _wigner_4d(s, at):
     """wigner_4d without the far-displacement warning."""
-    cxy = s.xy_coeffs
-    dim = cxy.shape[0]
-    # both modes' matrices from one call on the stacked amplitudes: one Laguerre recurrence
-    a = np.stack(np.broadcast_arrays(at.x + 1j * np.asarray(at.p_x),
-                                     at.y + 1j * np.asarray(at.p_y))) / sqrt(2.0)
-    parity = _dim_constants(dim)[-1]
+    c = s.coeffs
+    # 2 a_+ = w + z, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call
+    w = at.p_y + 1j * np.asarray(at.p_x)
+    z = at.x - 1j * np.asarray(at.y)
+    parity = _dim_constants(c.shape[0])[-1]
     # far out, alpha^k overflows while exp(-|alpha|^2 / 2) underflows: a nan, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        d = displaced_fock_matrix(2.0 * a, dim)
-        val = np.sum(np.conj(cxy) * (d[0] @ (cxy * parity) @ np.swapaxes(d[1], -1, -2)),
-                     axis=(-2, -1)) / pi ** 2
+        d = displaced_fock_matrix(np.array([w + z, w - z]), c.shape[0])
+        val = (np.conj(c) * (d[0] @ (c * parity) @ d[1])).sum(axis=(-2, -1)) / pi ** 2
     real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(np.abs(val), 1e-300))
     if not real.all():
         raise QuadratureResidueError(

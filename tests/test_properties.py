@@ -1,6 +1,6 @@
 """Property tests over generated state specs: the CLI's exit-code contract,
-the round trip of the spec text form, the rotational covariance of W, its
-agreement with the oracle, and its realness."""
+the round trip of the spec text form, the rotational covariance of W and of
+the 4D Wigner function, W's agreement with the oracle, and its realness."""
 
 import contextlib
 import io
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylwigner import (KAPPA, CylPoint, StateKind, StateSpec, build_state, default_rule,
-                       gauss_hermite, oracle_cyl_from_cartesian, parse_state_spec,
-                       rotate_state, serialize_state_spec, wigner_cyl)
+from cylwigner import (KAPPA, CartesianPoint4, CylPoint, StateKind, StateSpec, build_state,
+                       default_rule, gauss_hermite, oracle_cyl_from_cartesian,
+                       parse_state_spec, rotate_state, serialize_state_spec, wigner_4d,
+                       wigner_cyl)
 from cylwigner.cli import main
 from cylwigner.entangled import amplitude_polynomial
 from cylwigner.errors import CylWignerError
@@ -105,6 +106,23 @@ def test_rotation_shifts_phi(coeffs, a, r, phi, ell):
     s = build_state(StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}))
     moved = wigner_cyl(rotate_state(s, a), CylPoint(r, phi, ell))
     still = wigner_cyl(s, CylPoint(r, phi + a, ell))
+    assert moved == pytest.approx(still, rel=1e-10, abs=1e-12)
+
+
+PHASE_POINT = st.floats(-1.5, 1.5)
+
+
+@pytest.mark.filterwarnings("ignore::cylwigner.errors.TruncationWarning")
+@PROPERTY
+@given(SMALL_RAW, ANGLE, PHASE_POINT, PHASE_POINT, PHASE_POINT, PHASE_POINT)
+def test_rotation_turns_the_4d_wigner(coeffs, a, x, p_x, y, p_y):
+    # exp(i a L) turns W by a in both planes: W_rot(P) = W(R(a) P), with R(a) turning
+    # (x, y) and (p_x, p_y) together, as phi -> phi + a in test_rotation_shifts_phi
+    s = build_state(StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}))
+    c, sn = np.cos(a), np.sin(a)
+    moved = wigner_4d(rotate_state(s, a), CartesianPoint4(x, p_x, y, p_y))
+    still = wigner_4d(s, CartesianPoint4(c * x - sn * y, c * p_x - sn * p_y,
+                                         sn * x + c * y, sn * p_x + c * p_y))
     assert moved == pytest.approx(still, rel=1e-10, abs=1e-12)
 
 

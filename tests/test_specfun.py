@@ -189,6 +189,37 @@ def test_laguerre_table_at_complex_x():
     assert type(laguerre(4, 2, 1.5)) is float and type(laguerre(4, 2, 1.5j)) is complex
 
 
+def reference_laguerre_table(p, alpha, x):
+    """The upward recurrence with every step's coefficients precomputed over the box, as
+    laguerre_table was first written: the reference its output must equal bit for bit."""
+    alpha = np.asarray(alpha)
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, np.float64), copy=False)
+    table = np.zeros((p + 2,) + np.broadcast_shapes(alpha.shape, x.shape), dtype=x.dtype)
+    table[1] = 1.0
+    steps = np.arange(1, p + 1).reshape((-1,) + (1,) * (table.ndim - 1))
+    for k, a, b in zip(range(1, p + 1), 2 * steps - 1 + alpha - x, steps - 1 + alpha):
+        np.divide(a * table[k] - b * table[k - 1], k, out=table[k + 1, ...])
+    return table[1:]
+
+
+def test_laguerre_table_is_the_reference_recurrence_bit_for_bit(rng):
+    cases = [
+        (7, 2, 3.3), (5, 1.5, 0.7), (12, 0, 40.0),                           # scalar x
+        (10, np.arange(11)[:, None], rng.uniform(0, 30, size=21)),             # array x
+        (12, np.arange(6)[:, None], rng.normal(size=9) + 1j * rng.normal(size=9)),
+        (4, 3, 2.0 - 1.0j),                                                     # complex x
+        (0, 3, 0.5), (1, 2, 0.5), (0, np.arange(1), rng.uniform(0, 9, (2, 8, 1))),
+        (1, np.arange(2), rng.uniform(0, 9, (2, 9, 1))),                       # one degree
+        (6, np.arange(7), rng.uniform(0, 60, (2, 14, 1))),                      # the oracle's
+        (20, np.arange(21), rng.uniform(0, 130, (2, 48, 1))),
+    ]
+    for p, alpha, x in cases:
+        got, want = laguerre_table(p, alpha, x), reference_laguerre_table(p, alpha, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (p, np.shape(alpha), np.shape(x))
+
+
 def test_laguerre_rejects_negative_indices():
     with pytest.raises(ValueError):
         laguerre(-1, 0, 1.0)

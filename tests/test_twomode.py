@@ -1,3 +1,4 @@
+import itertools
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -9,7 +10,7 @@ from cylwigner import (CartesianPoint4, TwoModeFock, expectation_N_L,
                        mode_rotate_xy_to_pm, rotate_state, wigner_4d)
 from cylwigner import twomode
 from cylwigner.errors import QuadratureResidueError, TruncationWarning
-from cylwigner.twomode import _to_xy, displaced_fock_matrix
+from cylwigner.twomode import displaced_fock_matrix
 
 
 def random_state(rng, cutoff=2):
@@ -101,10 +102,43 @@ def test_mode_rotation_round_trip(rng):
     xy /= np.linalg.norm(xy)
     s = mode_rotate_xy_to_pm(xy)
     assert s.is_normalized
-    back = _to_xy(s)
+    q = 1.0 / sqrt(2.0)
+    back = twomode._basis_rotation(s.coeffs, q, 1j * q, q, -1j * q)
     padded = np.zeros_like(back)
     padded[:3, :3] = xy
     assert np.allclose(back, padded, atol=1e-12)
+
+
+def vacuum_wigner(q, p):
+    return np.exp(-q * q - p * p) / pi
+
+
+# single-mode Fock amplitudes and their Wigner functions W(q, p), written out in the
+# convention of wigner_4d, whose vacuum is exp(-q^2 - p^2) / pi per mode
+SINGLE_MODE = {
+    "|0>": ([1.0], vacuum_wigner),
+    "|1>": ([0.0, 1.0], lambda q, p: vacuum_wigner(q, p) * (2 * (q * q + p * p) - 1)),
+    "|2>": ([0.0, 0.0, 1.0], lambda q, p: vacuum_wigner(q, p)
+            * (2 * (q * q + p * p) ** 2 - 4 * (q * q + p * p) + 1)),
+    "(|0>+|1>)/sqrt2": ([sqrt(0.5), sqrt(0.5)],
+                        lambda q, p: vacuum_wigner(q, p) * (q * q + p * p + sqrt(2.0) * q)),
+    "(|0>+i|1>)/sqrt2": ([sqrt(0.5), 1j * sqrt(0.5)],
+                         lambda q, p: vacuum_wigner(q, p) * (q * q + p * p + sqrt(2.0) * p)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::cylwigner.errors.TruncationWarning")
+def test_wigner_4d_of_a_cartesian_product_is_the_product_of_single_mode_wigners(rng):
+    # pins the chirality <-> Cartesian convention: a product state built from its (n_x, n_y)
+    # table has W(x, p_x, y, p_y) = W_x(x, p_x) W_y(y, p_y); the states that are not
+    # symmetric under (q, p) -> (-q, -p) tell alpha_+ from alpha_- and from its conjugate
+    x, p_x, y, p_y = rng.uniform(-1.5, 1.5, size=(4, 12))
+    for (name_x, (amp_x, w_x)), (name_y, (amp_y, w_y)) in itertools.product(
+            SINGLE_MODE.items(), repeat=2):
+        xy = np.zeros((3, 3), dtype=complex)
+        xy[:len(amp_x), :len(amp_y)] = np.outer(amp_x, amp_y)
+        got = wigner_4d(mode_rotate_xy_to_pm(xy), CartesianPoint4(x, p_x, y, p_y))
+        assert np.allclose(got, w_x(x, p_x) * w_y(y, p_y), rtol=1e-12, atol=0), (name_x, name_y)
 
 
 def test_displaced_fock_matrix_against_expm(rng):
@@ -136,6 +170,8 @@ def test_displaced_fock_matrix_batch_is_elementwise(rng):
     assert got.shape == (2, 4, 9, 9)
     for idx in np.ndindex(alphas.shape):
         assert np.array_equal(got[idx], displaced_fock_matrix(complex(alphas[idx]), 9))
+    # the oracle reads D(alpha)^T as D(-conj alpha)
+    assert np.array_equal(displaced_fock_matrix(-np.conj(alphas), 9), np.swapaxes(got, -1, -2))
 
 
 def test_displaced_fock_matrix_of_stacked_modes_is_two_calls(rng):
