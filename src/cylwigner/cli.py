@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylPoint, default_rule, gauss_hermite,
+from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylPoint, default_rule,
                           oracle_cyl_from_cartesian, wigner_cyl, wigner_cyl_grid)
 from .errors import CylWignerError, SpecParseError
 from .statespec import build_state, parse_state_spec, serialize_state_spec
@@ -35,7 +35,7 @@ MAX_GRID_POINTS = 5_000_000
 
 @dataclass(frozen=True)
 class GridRequest:
-    """Validated grid axes and evaluation settings for a CLI run."""
+    """Validated grid axes of a CLI run."""
 
     r_min: float
     r_max: float
@@ -43,7 +43,6 @@ class GridRequest:
     n_phi: int
     ell_min: int
     ell_max: int
-    quad_order: int
 
     def __post_init__(self):
         for name in ("r_min", "r_max"):
@@ -77,14 +76,14 @@ def _fmt(v):
 _CSV_ROWS = 1 << 12
 
 
-def write_grid_csv(fh, spec, req, grid):
+def write_grid_csv(fh, spec, quad_order, grid):
     # each axis value is formatted once, not once per row
     r = [_fmt(v) for v in grid.r_nodes]
     phi = [_fmt(v) for v in grid.phi_nodes]
     ell = [str(int(v)) for v in grid.ell_values]
     fh.write(f"# cylwigner-grid v{__version__}\n")
     fh.write(f"# state: {serialize_state_spec(spec)}\n")
-    fh.write(f"# quad_order: {req.quad_order}\n")
+    fh.write(f"# quad_order: {quad_order}\n")
     fh.write("# r_nodes: " + " ".join(r) + "\n")
     fh.write("# phi_nodes: " + " ".join(phi) + "\n")
     fh.write("# ell_values: " + " ".join(ell) + "\n")
@@ -96,11 +95,11 @@ def write_grid_csv(fh, spec, req, grid):
                              for q, v in enumerate(plane[lo:lo + _CSV_ROWS].tolist(), lo)))
 
 
-def write_grid_json(fh, spec, req, grid):
+def write_grid_json(fh, spec, quad_order, grid):
     doc = {
         "format": f"cylwigner-grid v{__version__}",
         "state": serialize_state_spec(spec),
-        "quad_order": req.quad_order,
+        "quad_order": quad_order,
         "r_nodes": [_fmt(v) for v in grid.r_nodes],
         "phi_nodes": [_fmt(v) for v in grid.phi_nodes],
         "ell_values": [int(v) for v in grid.ell_values],
@@ -111,15 +110,14 @@ def write_grid_json(fh, spec, req, grid):
 
 
 def cmd_wigner_cyl(spec, state, req, out_path, fmt="csv"):
-    rule = gauss_hermite(req.quad_order)
-    r, phi, ell = req.axes()
-    grid = wigner_cyl_grid(state, r, phi, ell, rule)
+    grid = wigner_cyl_grid(state, *req.axes())
+    order = default_rule(state).order
     writer = write_grid_csv if fmt == "csv" else write_grid_json
     if out_path in (None, "-"):
-        writer(sys.stdout, spec, req, grid)
+        writer(sys.stdout, spec, order, grid)
     else:
         with open(out_path, "w") as fh:
-            writer(fh, spec, req, grid)
+            writer(fh, spec, order, grid)
     return EXIT_OK
 
 
@@ -128,14 +126,13 @@ def cmd_oracle_check(state, n_points=10, seed=0):
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
-    gh = default_rule(state)
-    pr_rule = gauss_hermite(state.max_total_quanta + 8)
+    rule = default_rule(state)
     ratios = []
     for _ in range(n_points):
         pt = CylPoint(rng.uniform(*ORACLE_R_RANGE), rng.uniform(0, 2 * np.pi),
                       int(rng.integers(-ORACLE_ELL_SPAN, ORACLE_ELL_SPAN + 1)))
-        direct = wigner_cyl(state, pt, gh)
-        brute = oracle_cyl_from_cartesian(state, pt, pr_rule)
+        direct = wigner_cyl(state, pt)
+        brute = oracle_cyl_from_cartesian(state, pt, rule)
         if abs(brute) < 1e-12:
             print(f"r={pt.r:.4f} phi={pt.phi:.4f} ell={pt.ell:+d}  "
                   "skipped (both routes vanish)")
@@ -178,8 +175,6 @@ def build_parser():
     g.add_argument("--lmax", type=int, default=5)
     g.add_argument("--lmin", type=int, default=None,
                    help="lowest ell (default -lmax)")
-    g.add_argument("--quad-order", type=int, default=None,
-                   help="Gauss-Hermite order (default: state quanta + 8)")
     g.add_argument("--format", choices=["csv", "json"], default="csv")
     g.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -197,12 +192,9 @@ def main(argv=None):
         spec = parse_state_spec(args.state)
         state = build_state(spec)
         if args.command == "wigner-cyl":
-            order = args.quad_order
-            if order is None:
-                order = state.max_total_quanta + 8
             req = GridRequest(args.r_min, args.r_max, args.nr, args.nphi,
                               args.lmin if args.lmin is not None else -args.lmax,
-                              args.lmax, order)
+                              args.lmax)
             return cmd_wigner_cyl(spec, state, req, args.out, args.format)
         return cmd_oracle_check(state, args.n_points, args.seed)
     except SpecParseError as e:

@@ -18,7 +18,8 @@ the shifted contour it depends on (r, ell, t) only through u = r^2 +
 phase per OAM value.  So W is a trigonometric polynomial in phi, and the
 kernel evaluates the table once per (r, ell, node) for a whole phi axis.
 A state is normalized and within MAX_TOTAL_ORDER by construction
-(``TwoModeFock``), so the kernel checks only its points and its rule.
+(``TwoModeFock``), and its rule is ``default_rule``, so the kernel checks
+only its points.
 
 The radial marginal P(r) = sum_ell Int W dphi needs no rings.  Poisson
 summation, sum_ell exp(2i ell r'/r) = pi r sum_k delta(r' - k pi r), turns
@@ -48,10 +49,10 @@ from math import cos, floor, hypot, isfinite, pi, sin, sqrt
 import numpy as np
 
 from .entangled import amplitude_terms
-from .errors import ConvergenceError, QuadratureOrderError, QuadratureResidueError, TruncationWarning
+from .errors import ConvergenceError, QuadratureResidueError, TruncationWarning
 from .quadrature import QuadKind, deweighted, gauss_hermite
 from .specfun import laguerre_table
-from .twomode import CartesianPoint4, _wigner_4d
+from .twomode import _wigner_4d
 
 #: Ratio wigner_cyl / oracle_cyl_from_cartesian.  The literal factor 4 in
 #: the transform is kept as-is (no global normalization is imposed), and
@@ -125,18 +126,14 @@ class CylGrid:
 
 
 def default_rule(s):
-    """Gauss-Hermite rule just large enough for the state's polynomial degree."""
-    return gauss_hermite(s.max_total_quanta + 4)
+    """The state's Gauss-Hermite rule, the only one the kernel uses.
 
-
-def _check_rule(rule, max_quanta):
-    if rule.kind is not QuadKind.GAUSS_HERMITE:
-        raise ValueError("the cylindrical transform requires a Gauss-Hermite rule")
-    # integrand polynomial degree is at most twice the total quanta
-    if 2 * rule.order - 1 < 2 * max_quanta:
-        raise QuadratureOrderError(
-            f"rule of order {rule.order} cannot integrate degree {2 * max_quanta} exactly"
-        )
+    Along the shifted contour the integrand is a polynomial in t of degree at
+    most twice the state's total quanta, which every rule of order quanta + 1
+    or more sums exactly; the order follows from the state, not the caller.
+    It is quanta + 8, which the grid export records as ``quad_order``.
+    """
+    return gauss_hermite(s.max_total_quanta + 8)
 
 
 def _alive(expo, quanta, reach):
@@ -153,7 +150,7 @@ def _alive(expo, quanta, reach):
 _BLOCK = 1 << 12
 
 
-def _evaluate(s, r, ell, phi, rule):
+def _evaluate(s, r, ell, phi):
     """W on rows of (r, ell) points times a phi axis, as a (rows, len(phi)) array.
 
     The one evaluation kernel behind the point, grid and angle-OAM marginal
@@ -174,9 +171,7 @@ def _evaluate(s, r, ell, phi, rule):
         raise ValueError("phi must be finite")
     phi = np.mod(phi, 2.0 * pi)
     max_quanta = s.max_total_quanta
-    if rule is None:
-        rule = default_rule(s)
-    _check_rule(rule, max_quanta)
+    rule = default_rule(s)
 
     # where the envelope underflows, bail out before the polynomial part overflows;
     # at a subnormal r the exponent is inf and inf - bound may be nan: both bail out
@@ -220,19 +215,19 @@ def _sum_rows(s, r, shift, expo, phi, rule):
     return val.real
 
 
-def wigner_cyl(s, at, rule=None):
+def wigner_cyl(s, at):
     """W(r, phi, ell) by the contour-shifted Gauss-Hermite sum (exact)."""
-    return float(_evaluate(s, at.r, at.ell, at.phi, rule)[0, 0])
+    return float(_evaluate(s, at.r, at.ell, at.phi)[0, 0])
 
 
-def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values, rule=None):
+def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
     """Dense W over the product of the given axes, in one kernel call."""
     r_nodes = np.asarray(r_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     ell_values = _integer_ell(ell_values)
     if r_nodes.size == 0 or phi_nodes.size == 0 or ell_values.size == 0:
         raise ValueError("grid axes must be non-empty")
-    vals = _evaluate(s, r_nodes[:, None], ell_values, phi_nodes, rule)
+    vals = _evaluate(s, r_nodes[:, None], ell_values, phi_nodes)
     values = vals.reshape(len(r_nodes), len(ell_values), len(phi_nodes)).transpose(0, 2, 1)
     return CylGrid(r_nodes, phi_nodes, ell_values, np.ascontiguousarray(values))
 
@@ -246,7 +241,7 @@ def marginal_angle_oam(s, phi, ell, radial_rule):
     """
     if radial_rule.kind is not QuadKind.GAUSS_LEGENDRE_MAPPED:
         raise ValueError("radial integration requires a mapped Gauss-Legendre rule")
-    vals = _evaluate(s, radial_rule.nodes, ell, phi, None)[:, 0]
+    vals = _evaluate(s, radial_rule.nodes, ell, phi)[:, 0]
     peak = np.max(np.abs(vals))
     if abs(vals[-1]) > 1e-12 * max(peak, 1e-300):
         warnings.warn(
@@ -356,7 +351,7 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     p_y = pr_rule.nodes * sn + lam * c
     # no far-displacement warning: the overlap is exact for the truncated table, and the
     # warning, aimed at users approximating untruncated states, would fire at far nodes
-    vals = _wigner_4d(s, CartesianPoint4(r * c, p_x, r * sn, p_y))
+    vals = _wigner_4d(s, r * c, p_x, r * sn, p_y)
     total = 0.0
     for term in (deweighted(pr_rule) * vals).tolist():  # node order, left to right
         total += term

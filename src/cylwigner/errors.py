@@ -9,10 +9,6 @@ class OrderBoundError(CylWignerError):
     """Polynomial order outside the supported range."""
 
 
-class QuadratureOrderError(CylWignerError):
-    """Quadrature rule cannot integrate the requested polynomial degree exactly."""
-
-
 class QuadratureResidueError(CylWignerError):
     """Discarded imaginary residue of a nominally real quadrature is too large."""
 

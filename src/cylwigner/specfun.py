@@ -23,8 +23,8 @@ from .errors import OrderBoundError
 #: Hermite call here, and once per state when its table is built
 #: (``twomode.check_order_bound``; the constructors check it before they
 #: allocate).  The coefficients stay finite far past it, but the
-#: contour-shifted cylindrical sum loses accuracy long before it: 1.55e-5
-#: relative at 20 total quanta and 1.2e-3 at 26 (sample worsts of summed
+#: contour-shifted cylindrical sum loses accuracy long before it: 1.82e-5
+#: relative at 20 total quanta and 2.1e-3 at 26 (sample worsts of summed
 #: states, seeds 0-13 in README), wrong values from about 30 (ROADMAP).
 MAX_TOTAL_ORDER = 60
 

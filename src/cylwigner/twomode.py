@@ -271,15 +271,15 @@ def wigner_4d(s, at):
             "displacement amplitude^2 exceeds cutoff/2; the truncated table "
             "is a poor stand-in for any untruncated state this far out",
             TruncationWarning, stacklevel=2)
-    return _wigner_4d(s, at)
+    return _wigner_4d(s, at.x, at.p_x, at.y, at.p_y)
 
 
-def _wigner_4d(s, at):
-    """wigner_4d without the far-displacement warning."""
+def _wigner_4d(s, x, p_x, y, p_y):
+    """wigner_4d at coordinates its caller checked, without the far-displacement warning."""
     c = s.coeffs
     # 2 a_+ = w + z, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call
-    w = at.p_y + 1j * np.asarray(at.p_x)
-    z = at.x - 1j * np.asarray(at.y)
+    w = p_y + 1j * np.asarray(p_x)
+    z = x - 1j * np.asarray(y)
     parity = _dim_constants(c.shape[0])[-1]
     # far out, alpha^k overflows while exp(-|alpha|^2 / 2) underflows: a nan, refused below
     with np.errstate(over="ignore", invalid="ignore"):

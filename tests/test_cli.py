@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwigner import __version__, gauss_hermite, wigner_cyl_grid
-from cylwigner.cli import GridRequest, _fmt, main, write_grid_csv
+from cylwigner import CylPoint, __version__, default_rule, wigner_cyl, wigner_cyl_grid
+from cylwigner.cli import _fmt, main, write_grid_csv
 from cylwigner.statespec import build_state, parse_state_spec, serialize_state_spec
 
 
@@ -171,12 +171,28 @@ def test_byte_determinism(tmp_path, capsys):
     assert len(a.read_bytes()) > 0
 
 
-def _per_row_csv(fh, spec, req, grid):
+def test_export_uses_the_state_rule(capsys):
+    # one rule per state: the header records it, and every exported value is
+    # the point evaluator's, bit for bit
+    text = "superposition l1=3 l2=-3 phi0=0 Nmax=9"
+    code, out, _ = run(capsys, ["wigner-cyl", "--state", text, "--r-min", "0.4",
+                                "--r-max", "2.4", "--nr", "3", "--nphi", "5", "--lmax", "1"])
+    assert code == 0
+    state = build_state(parse_state_spec(text))
+    header = [ln for ln in out.splitlines() if ln.startswith("# quad_order: ")]
+    assert header == [f"# quad_order: {default_rule(state).order}"]
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")]
+    assert len(rows) == 3 * 5 * 3
+    for r, phi, ell, w in rows:
+        assert float(w) == wigner_cyl(state, CylPoint(float(r), float(phi), int(ell)))
+
+
+def _per_row_csv(fh, spec, quad_order, grid):
     """The CSV writer as it was, formatting every axis value on every row."""
     r, phi, ell = grid.r_nodes, grid.phi_nodes, grid.ell_values
     fh.write(f"# cylwigner-grid v{__version__}\n")
     fh.write(f"# state: {serialize_state_spec(spec)}\n")
-    fh.write(f"# quad_order: {req.quad_order}\n")
+    fh.write(f"# quad_order: {quad_order}\n")
     fh.write("# r_nodes: " + " ".join(_fmt(v) for v in r) + "\n")
     fh.write("# phi_nodes: " + " ".join(_fmt(v) for v in phi) + "\n")
     fh.write("# ell_values: " + " ".join(str(int(v)) for v in ell) + "\n")
@@ -198,11 +214,11 @@ def _per_row_csv(fh, spec, req, grid):
 def test_csv_writer_matches_the_per_row_writer(text, axes):
     spec = parse_state_spec(text)
     state = build_state(spec)
-    req = GridRequest(1e-3, 6.0, 1, 1, -3, 3, state.max_total_quanta + 8)
-    grid = wigner_cyl_grid(state, *axes, gauss_hermite(req.quad_order))
+    order = default_rule(state).order
+    grid = wigner_cyl_grid(state, *axes)
     got, want = io.StringIO(), io.StringIO()
-    write_grid_csv(got, spec, req, grid)
-    _per_row_csv(want, spec, req, grid)
+    write_grid_csv(got, spec, order, grid)
+    _per_row_csv(want, spec, order, grid)
     assert got.getvalue() == want.getvalue()
     if len(axes[0]) > 1:
         assert "e-07," in got.getvalue() and "e-21," in got.getvalue()  # 1e-20 reads 9.99...e-21
@@ -215,16 +231,6 @@ def test_order_bound_exit_4(capsys, state):
     code, _, err = run(capsys, ["wigner-cyl", "--state", state, "--nr", "1", "--nphi", "1"])
     assert code == 4
     assert json.loads(err)["error"] == "OrderBoundError"
-
-
-def test_quad_order_too_small_exit_4(capsys):
-    code, _, err = run(capsys, [
-        "wigner-cyl", "--state", "summed l0=0 Nmax=20", "--r-min", "0.5",
-        "--r-max", "1.5", "--nr", "1", "--nphi", "1", "--lmax", "0",
-        "--quad-order", "4",
-    ])
-    assert code == 4
-    assert json.loads(err)["error"] == "QuadratureOrderError"
 
 
 def test_runtime_imports_no_scipy():

@@ -12,8 +12,7 @@ from cylwigner import (KAPPA, CylGrid, CylPoint, TwoModeFock, cylindrical,
                        make_summed_oam, make_superposition, marginal_angle_oam,
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
-from cylwigner.errors import (ConvergenceError, OrderBoundError, QuadratureOrderError,
-                             QuadratureResidueError)
+from cylwigner.errors import ConvergenceError, OrderBoundError, QuadratureResidueError
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
@@ -78,14 +77,6 @@ def test_non_finite_phi_rejected(bad):
         CylPoint(1.0, 0.0, bad)
     with pytest.raises(ValueError, match="ell"):
         wigner_cyl_grid(s, [1.0], [0.0], [0, bad])
-
-
-def test_rule_degree_check():
-    s = make_summed_oam(0, 12)  # max_total_quanta 12
-    with pytest.raises(QuadratureOrderError):
-        wigner_cyl(s, CylPoint(1.0, 0.0, 0), gauss_hermite(6))
-    with pytest.raises(ValueError):
-        wigner_cyl(s, CylPoint(1.0, 0.0, 0), gauss_legendre_mapped(64, 0.1, 8.0))
 
 
 def test_unnormalized_state_rejected():
