@@ -63,7 +63,8 @@ class GridRequest:
     def axes(self):
         r = np.linspace(self.r_min, self.r_max, self.n_r)
         phi = np.linspace(0.0, 2.0 * np.pi, self.n_phi, endpoint=False)
-        ell = np.arange(self.ell_min, self.ell_max + 1)
+        # from a range of Python ints: arange's stop ell_max + 1 overflows at 2^63 - 1
+        ell = np.array(range(self.ell_min, self.ell_max + 1))
         return r, phi, ell
 
 

@@ -8,10 +8,10 @@ cylindrical Wigner transform integrates.
 
 A state's amplitude polynomial is evaluated from its cached diagonal table
 (``TwoModeFock.amplitude_stack``): one polynomial in u = lam lam_bar per OAM
-value, times a power of lam or lam_bar, in the monomial form of the state's
-Laguerre series (``TwoModeFock.laguerre_stack``).  A single Fock overlap
-(:func:`xi_fock_overlap`) evaluates one Hermite polynomial through the same
-Laguerre reduction (:func:`specfun.hermite2`).
+value, times its power (:func:`specfun.diagonal_power`), in the monomial form
+of the state's Laguerre series (``TwoModeFock.laguerre_stack``).  A single
+Fock overlap (:func:`xi_fock_overlap`) evaluates one Hermite polynomial
+through the same Laguerre reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from math import lgamma, pi
 
 import numpy as np
 
-from .specfun import hermite2, laguerre
+from .specfun import diagonal_power, hermite2, laguerre
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,11 @@ def xi_fock_overlap(xi, n_plus, n_minus):
 def amplitude_terms(s, lam, lam_bar):
     """The terms of amplitude_polynomial from one Horner pass in u = lam lam_bar.
 
-    ``(offsets, ket, bra)``: with d = offsets[i], ket[i] = lam^d p_d(u)
-    (lam_bar^-d p_d(u) for d < 0) and bra[i] is that power times conj(p_d)(u),
-    the bra term of offset -d at swapped arguments; a real table's bra is its
-    ket.  Rotating the arguments to (lam e^{-i phi}, lam_bar e^{i phi}) leaves
-    u alone and multiplies ket[i] by e^{-i d phi} and bra[i] by e^{i d phi},
+    ``(offsets, ket, bra)``: with d = offsets[i], ket[i] = diagonal_power(d,
+    lam, lam_bar) p_d(u) and bra[i] is that power times conj(p_d)(u), the bra
+    term of offset -d at swapped arguments; a real table's bra is its ket.
+    Rotating the arguments to (lam e^{-i phi}, lam_bar e^{i phi}) leaves u
+    alone and multiplies ket[i] by e^{-i d phi} and bra[i] by e^{i d phi},
     which is how the cylindrical kernel factors out phi.
     """
     lam = np.asarray(lam, dtype=complex)
@@ -70,23 +70,21 @@ def amplitude_terms(s, lam, lam_bar):
     powers = np.ones((len(offsets),) + u.shape, dtype=complex)
     for i, d in enumerate(offsets.tolist()):
         if d:
-            powers[i] = lam ** d if d > 0 else lam_bar ** -d
+            powers[i] = diagonal_power(d, lam, lam_bar)
     ket, *bra = terms * powers
     return offsets, ket, bra[0] if bra else ket
 
 
-def amplitude_polynomial(s, lam, lam_bar, conjugated=False):
+def amplitude_polynomial(s, lam, lam_bar):
     """Polynomial part of the entangled wavefunction, envelope stripped.
 
     With ``lam = xi e^{-i phi}`` and ``lam_bar = conj(lam)`` this is
     Psi(xi, phi) / exp(-|xi|^2 / 2), the sum of c[n+, n-] H_{n-, n+}(lam,
     lam_bar) / sqrt(n+! n-!).  The two arguments are independent so the
     same code serves the analytically continued integrand of the
-    cylindrical transform; ``conjugated`` selects the bra-side variant
-    (conjugate coefficients, swapped Hermite indices).
+    cylindrical transform.  Its bra side (conjugate coefficients, swapped
+    Hermite indices) is conj(amplitude_polynomial(s, conj(lam_bar), conj(lam))).
     """
-    if conjugated:
-        return np.sum(amplitude_terms(s, lam_bar, lam)[2], axis=0)
     return np.sum(amplitude_terms(s, lam, lam_bar)[1], axis=0)
 
 

@@ -10,7 +10,8 @@ L_n^(m-n)(lam lam_bar) for m >= n, and its mirror for m < n.
 A whole Fock table's Hermite combination is expanded once, in diagonal form
 (:func:`laguerre_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
 i - j = m - n, so the combination is a short list of offsets d, each with a
-Laguerre series in u = lam lam_bar.
+Laguerre series in u = lam lam_bar, times :func:`diagonal_power`: lam^d for
+d >= 0 and lam_bar^-d for d < 0, written there once for every caller.
 """
 
 from math import factorial, sqrt
@@ -19,23 +20,26 @@ import numpy as np
 
 from .errors import OrderBoundError
 
-#: Largest supported m + n (total quanta n+ + n-).  Enforced for every
-#: Hermite call here, and once per state when its table is built
-#: (``twomode.check_order_bound``; the constructors check it before they
-#: allocate).  The coefficients stay finite far past it, but the
-#: contour-shifted cylindrical sum loses accuracy long before it: 1.82e-5
-#: relative at 20 total quanta and 2.1e-3 at 26 (sample worsts of summed
-#: states, seeds 0-13 in README), wrong values from about 30 (ROADMAP).
+#: Largest supported m + n (total quanta n+ + n-).  Enforced by
+#: :func:`check_order_bound` for every Hermite call here, and once per state
+#: when its table is built (the constructors check it before they allocate).
+#: The coefficients stay finite far past it, but the contour-shifted
+#: cylindrical sum loses accuracy long before it: 1.82e-5 relative at 20
+#: total quanta and 2.1e-3 at 26 (sample worsts of summed states, seeds 0-13
+#: in README), wrong values from about 30 (ROADMAP).
 MAX_TOTAL_ORDER = 60
 
 
-def _check_indices(m, n):
-    if m < 0 or n < 0:
-        raise ValueError(f"Hermite orders must be non-negative, got ({m}, {n})")
-    if m + n > MAX_TOTAL_ORDER:
+def check_order_bound(quanta):
+    """Raise OrderBoundError if this many total quanta exceed MAX_TOTAL_ORDER."""
+    if quanta > MAX_TOTAL_ORDER:
         raise OrderBoundError(
-            f"total Hermite order {m + n} exceeds supported bound {MAX_TOTAL_ORDER}"
-        )
+            f"{quanta} total quanta exceed the supported bound {MAX_TOTAL_ORDER}")
+
+
+def diagonal_power(d, lam, lam_bar):
+    """The power of offset d in the diagonal form: lam^d for d >= 0, lam_bar^-d otherwise."""
+    return lam ** d if d >= 0 else lam_bar ** -d
 
 
 def hermite2_general(m, n, lam, lam_bar):
@@ -44,17 +48,19 @@ def hermite2_general(m, n, lam, lam_bar):
     The two arguments are treated as independent complex variables, which
     is what analytic continuation off the real integration axis requires.
     For ``lam_bar == conj(lam)`` this coincides with :func:`hermite2`.
-    Evaluated by the Laguerre reduction: (-1)^k k! lam^(m-k) L_k^|m-n|(lam
-    lam_bar) with k = n for m >= n, and lam_bar^(n-k) with k = m for m < n.
+    Evaluated by the Laguerre reduction: (-1)^k k! L_k^|m-n|(lam lam_bar),
+    k = min(m, n), times :func:`diagonal_power` of offset m - n.
 
     Accepts scalars or numpy arrays (broadcast together).
     """
-    _check_indices(m, n)
+    if m < 0 or n < 0:
+        raise ValueError(f"Hermite orders must be non-negative, got ({m}, {n})")
+    check_order_bound(m + n)
     lam = np.asarray(lam, dtype=complex)
     lam_bar = np.asarray(lam_bar, dtype=complex)
     k = min(m, n)
-    power = lam ** (m - k) if m >= n else lam_bar ** (n - k)
-    total = (-1) ** k * factorial(k) * power * laguerre(k, abs(m - n), lam * lam_bar)
+    total = ((-1) ** k * factorial(k) * diagonal_power(m - n, lam, lam_bar)
+             * laguerre(k, abs(m - n), lam * lam_bar))
     if total.ndim == 0:
         return complex(total)
     return total
@@ -65,7 +71,7 @@ def laguerre_diagonals(coeffs):
 
     This is the Fock expansion of an entangled-basis amplitude with
     coeffs[n+, n-]: one offset d = n - m per OAM value n+ - n- = -d, and the
-    sum equals Sum_d lam^d p_d(u) (lam_bar^-d p_d(u) for d < 0).  Returns
+    sum equals Sum_d diagonal_power(d, lam, lam_bar) p_d(u).  Returns
     ``(offsets, series)`` over the occupied offsets in ascending order, with
     p_d(u) = Sum_k series[k, i] L_k^|d|(u), d = offsets[i], from the reduction
     above, so every coefficient is at most the Fock coefficient in modulus.

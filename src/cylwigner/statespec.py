@@ -22,8 +22,8 @@ from math import isfinite
 import numpy as np
 
 from .errors import SpecParseError
-from .twomode import (TwoModeFock, check_order_bound, make_N_l_eigenstate, make_summed_oam,
-                      make_superposition)
+from .specfun import check_order_bound
+from .twomode import TwoModeFock, make_N_l_eigenstate, make_summed_oam, make_superposition
 
 
 class StateKind(Enum):

@@ -8,9 +8,10 @@ x/y mode basis enters only through ``mode_rotate_xy_to_pm``.
 A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta
 by construction: both are checked once, when the table is built, so no
 evaluator re-checks them.  The constructors check the bound on their top
-quanta before they allocate a table.  A state expands its entangled-basis
-amplitude once, as Laguerre series (``laguerre_stack``), and the cylindrical
-kernel reads their monomial form (``amplitude_stack``).
+quanta (``specfun.check_order_bound``) before they allocate a table.  A
+state expands its entangled-basis amplitude once, as Laguerre series
+(``laguerre_stack``), and the cylindrical kernel reads their monomial form
+(``amplitude_stack``).
 """
 
 import warnings
@@ -20,17 +21,10 @@ from math import comb, exp, factorial, lgamma, pi, sqrt
 
 import numpy as np
 
-from .errors import OrderBoundError, QuadratureResidueError, TruncationWarning
-from .specfun import MAX_TOTAL_ORDER, laguerre_diagonals, laguerre_table
+from .errors import QuadratureResidueError, TruncationWarning
+from .specfun import check_order_bound, laguerre_diagonals, laguerre_table
 
 _NORM_TOL = 1e-10
-
-
-def check_order_bound(quanta):
-    """Raise OrderBoundError if a state of this many total quanta is unsupported."""
-    if quanta > MAX_TOTAL_ORDER:
-        raise OrderBoundError(
-            f"state has {quanta} total quanta; the supported bound is {MAX_TOTAL_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +60,6 @@ class TwoModeFock:
     def max_total_quanta(self):
         """Largest n+ + n- with a nonzero coefficient."""
         idx = np.argwhere(np.abs(self.coeffs) > 0)
-        if len(idx) == 0:
-            return 0
         return int(np.max(idx.sum(axis=1)))
 
     @cached_property

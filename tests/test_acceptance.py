@@ -194,8 +194,8 @@ def _cyl_residue(s, pt):
     rp = rule.nodes + 1j * shift
     em, ep = np.exp(-1j * pt.phi), np.exp(1j * pt.phi)
     ket = amplitude_polynomial(s, (pt.r + 1j * rp) * em, (pt.r - 1j * rp) * ep)
-    bra = amplitude_polynomial(s, (pt.r - 1j * rp) * em, (pt.r + 1j * rp) * ep,
-                               conjugated=True)
+    bra = np.conj(amplitude_polynomial(s, np.conj((pt.r + 1j * rp) * ep),
+                                       np.conj((pt.r - 1j * rp) * em)))
     terms = rule.weights * bra * ket
     return abs(np.sum(terms).imag) / max(np.sum(np.abs(terms)), 1e-300)
 

@@ -136,6 +136,23 @@ def test_ell_past_int64_exit_3(capsys, ell):
     assert "64 bits" in record["message"]
 
 
+def test_ell_range_ending_at_int64_max_exit_0(capsys):
+    top = 2 ** 63 - 1
+    code, out, _ = run(capsys, ["wigner-cyl", "--state", "eigenstate N=2 l0=0", "--nr", "1",
+                                "--nphi", "1", "--lmin", str(top - 1), "--lmax", str(top)])
+    assert code == 0
+    assert f"# ell_values: {top - 1} {top}\n" in out
+
+
+def test_ell_range_ending_past_int64_max_exit_3(capsys):
+    top = 2 ** 63 - 1
+    code, out, err = run(capsys, ["wigner-cyl", "--state", "eigenstate N=2 l0=0", "--nr", "1",
+                                  "--nphi", "1", "--lmin", str(top), "--lmax", str(top + 1)])
+    assert code == 3 and out == ""
+    record = json.loads(err)  # one JSON record, no traceback
+    assert record["message"] == "ell must be an integer of at most 64 bits"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_oracle_check_needs_a_point_exit_3(capsys, n):
     code, _, err = run(capsys, ["oracle-check", "--state", VACUUM, "--n-points", n])

@@ -258,6 +258,24 @@ def test_marginal_radial_edge_guard(monkeypatch):
         marginal_radial(s, 0.5)
 
 
+def test_kernel_realness_check(monkeypatch):
+    # the kernel's one self-check: a sum that is not real is refused, not truncated
+    states = [make_summed_oam(2, 6), make_superposition(3, -3, 0.4, 9)]
+    exact = cylindrical.amplitude_terms
+
+    def lopsided(s, xi_fwd, xi_bwd):  # breaks the conjugate symmetry of the nodes +-t
+        offsets, ket, bra = exact(s, xi_fwd, xi_bwd)
+        skew = 1.0 + 0.1 * (xi_fwd.imag > 0)  # Im xi_fwd is the node t
+        return offsets, ket * skew, bra * skew
+
+    monkeypatch.setattr(cylindrical, "amplitude_terms", lopsided)
+    for s in states:
+        for r in (0.5, 1.0, 2.0):
+            for ell in (-2, 1, 3):
+                with pytest.raises(QuadratureResidueError):
+                    wigner_cyl(s, CylPoint(r, 0.7, ell))
+
+
 def test_marginal_radial_realness_check(monkeypatch):
     s = make_summed_oam(2, 6)  # one offset: no conjugate offset to pair a sample's phase
     exact = cylindrical.laguerre_table

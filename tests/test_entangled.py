@@ -153,7 +153,9 @@ def test_amplitude_table_matches_explicit_hermite_sum(rng):
         lam = rng.uniform(-2, 2, size=40) + 1j * rng.uniform(-2, 2, size=40)
         lam_bar = rng.uniform(-2, 2, size=40) + 1j * rng.uniform(-2, 2, size=40)
         for conjugated in (False, True):
-            got = amplitude_polynomial(s, lam, lam_bar, conjugated)
+            # the bra side is the conjugate of the ket at conjugated, swapped arguments
+            got = (np.conj(amplitude_polynomial(s, np.conj(lam_bar), np.conj(lam)))
+                   if conjugated else amplitude_polynomial(s, lam, lam_bar))
             want = explicit_amplitude(s, lam, lam_bar, conjugated)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 

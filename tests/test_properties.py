@@ -145,7 +145,8 @@ def test_kernel_sum_is_real_before_its_real_part_is_taken(coeffs, r, phi, ell):
     rp = rule.nodes + 1j * ell / r
     em, ep = np.exp(-1j * phi), np.exp(1j * phi)
     ket = amplitude_polynomial(s, (r + 1j * rp) * em, (r - 1j * rp) * ep)
-    bra = amplitude_polynomial(s, (r - 1j * rp) * em, (r + 1j * rp) * ep, conjugated=True)
+    bra = np.conj(amplitude_polynomial(s, np.conj((r + 1j * rp) * ep),
+                                       np.conj((r - 1j * rp) * em)))
     terms = rule.weights * bra * ket
     scale = max(abs(np.sum(terms)), np.sum(np.abs(terms)))
     assert abs(np.sum(terms).imag) <= 1e-9 * scale
