@@ -163,15 +163,14 @@ def _evaluate(s, r, ell, phi):
     each offset d.  Every step is element-wise, so a point's value does not
     depend on the batch it is evaluated in.
     """
-    r, ell = (a.ravel() for a in np.broadcast_arrays(np.asarray(r, dtype=float),
-                                                     _integer_ell(ell)))
+    r, ell = np.asarray(r, dtype=float), _integer_ell(ell)  # a scalar ell broadcasts as is
+    r, ell = (a.ravel() for a in np.broadcast_arrays(r, ell)) if ell.ndim else (r.ravel(), ell)
     phi = np.asarray(phi, dtype=float).ravel()
     if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("r must be strictly positive")
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
     phi = np.mod(phi, 2.0 * pi)
-    max_quanta = s.max_total_quanta
     rule = default_rule(s)
 
     # where the envelope underflows, bail out before the polynomial part overflows;
@@ -180,12 +179,13 @@ def _evaluate(s, r, ell, phi):
         shift = ell / r
         expo = r * r + shift * shift
         reach = r + np.abs(shift) + rule.nodes[-1]
-        live = np.flatnonzero(_alive(expo, max_quanta, reach))
+        alive = _alive(expo, s.max_total_quanta, reach)
     # rows in blocks and a long phi axis in slices: no temporary grows with the grid
     width = max(1, _BLOCK // rule.order)
     step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
-    if live.size == r.size <= step and phi.size <= width:  # one block of live rows
+    if r.size <= step and phi.size <= width and alive.all():  # one block of live rows
         return _sum_rows(s, r, shift, expo, phi, rule)
+    live = np.flatnonzero(alive)
     out = np.zeros((r.size, phi.size))
     for lo in range(0, live.size, step):
         rows = live[lo:lo + step]
@@ -197,23 +197,27 @@ def _evaluate(s, r, ell, phi):
 
 def _sum_rows(s, r, shift, expo, phi, rule):
     """The kernel's Gauss-Hermite sum for rows whose envelope does not underflow."""
-    rp = rule.nodes + 1j * shift[:, None]
-    xi_fwd = r[:, None] + 1j * rp
-    xi_bwd = r[:, None] - 1j * rp
+    # xi = r +- i (t + i ell/r) = (r -+ ell/r) +- i t, on (rows, 1, nodes): phi comes later
+    xi_fwd, xi_bwd = np.empty((2, r.size, 1, rule.order), dtype=complex)
+    xi_fwd.real, xi_fwd.imag = (r - shift)[:, None, None], rule.nodes
+    xi_bwd.real, xi_bwd.imag = (r + shift)[:, None, None], -rule.nodes
     offsets, ket_terms, bra_terms = amplitude_terms(s, xi_fwd, xi_bwd)
+    # one phase table: e^{-i d phi} for the ket, its conjugate for the bra; 1 at d = 0
+    phases = np.exp(-1j * offsets[:, None] * phi)[:, :, None]
     ket = bra = 0.0
-    for d, ket_term, bra_term in zip(offsets.tolist(), ket_terms, bra_terms):
-        ket = ket + np.exp(-1j * d * phi)[:, None] * ket_term[:, None, :]
-        bra = bra + np.exp(1j * d * phi)[:, None] * bra_term[:, None, :]
+    for d, phase, ket_term, bra_term in zip(offsets.tolist(), phases, ket_terms, bra_terms):
+        ket = ket + (phase * ket_term if d else ket_term)
+        bra = bra + (phase.conj() * bra_term if d else bra_term)
     prod = bra * ket
     envelope = 4.0 * np.exp(-expo)[:, None]
-    val = envelope * np.sum(rule.weights * prod, axis=-1)
-    scale = np.maximum(np.abs(val), envelope * np.sum(rule.weights * np.abs(prod), axis=-1))
+    val = envelope * np.add.reduce(rule.weights * prod, -1)
+    scale = np.maximum(np.abs(val), envelope * np.add.reduce(rule.weights * np.abs(prod), -1))
     if (np.abs(val.imag) > 1e-9 * np.maximum(scale, 1e-300)).any():
         raise QuadratureResidueError(
             "imaginary residue of the cylindrical Wigner sum exceeds tolerance"
         )
-    return val.real
+    # with every offset 0, W does not depend on phi and one column stands for the axis
+    return np.broadcast_to(val.real, (r.size, phi.size))
 
 
 def wigner_cyl(s, at):
@@ -243,12 +247,12 @@ def marginal_angle_oam(s, phi, ell, radial_rule):
     if radial_rule.kind is not QuadKind.GAUSS_LEGENDRE_MAPPED:
         raise ValueError("radial integration requires a mapped Gauss-Legendre rule")
     vals = _evaluate(s, radial_rule.nodes, ell, phi)[:, 0]
-    peak = np.max(np.abs(vals))
+    peak = np.maximum.reduce(np.abs(vals))
     if abs(vals[-1]) > 1e-12 * max(peak, 1e-300):
         warnings.warn(
             "integrand has not decayed below 1e-12 at r_max; increase the rule range",
             TruncationWarning, stacklevel=2)
-    return float(np.sum(radial_rule.weights * vals))
+    return float(np.add.reduce(radial_rule.weights * vals))
 
 
 def _negligible_past(r, quanta, reach0):

@@ -7,9 +7,9 @@ representation, Psi(xi, phi) = <xi e^{-i phi}|Psi>, is the object the
 cylindrical Wigner transform integrates.
 
 A state's amplitude polynomial is evaluated from its cached diagonal table
-(``TwoModeFock.amplitude_stack``): one polynomial in u = lam lam_bar per OAM
-value, times its power (:func:`specfun.diagonal_power`), in the monomial form
-of the state's Laguerre series (``TwoModeFock.laguerre_stack``).  A single
+(``TwoModeFock.amplitude_stack``, the monomial form of ``laguerre_stack``): one
+Horner pass in u = lam lam_bar for every OAM value at once, in place, then each
+nonzero offset d times its power (:func:`specfun.diagonal_power`).  A single
 Fock overlap (:func:`xi_fock_overlap`) evaluates one Hermite polynomial
 through the same Laguerre reduction (:func:`specfun.hermite2`).
 """
@@ -62,16 +62,14 @@ def amplitude_terms(s, lam, lam_bar):
     u = lam * lam_bar
     offsets, coeffs = s.amplitude_stack
     coeffs = coeffs.reshape(coeffs.shape + (1,) * u.ndim)
-    terms = coeffs[0]
+    terms = np.full(coeffs.shape[1:3] + u.shape, coeffs[0])
     for c in coeffs[1:]:
-        terms = terms * u + c
-    # scalar exponents, one per nonzero offset: an array of exponents makes numpy's
-    # ufunc iterator allocate buffers that add 256 KiB to the peak RSS of a small export
-    powers = np.ones((len(offsets),) + u.shape, dtype=complex)
+        terms *= u
+        terms += c
     for i, d in enumerate(offsets.tolist()):
         if d:
-            powers[i] = diagonal_power(d, lam, lam_bar)
-    ket, *bra = terms * powers
+            terms[:, i] *= diagonal_power(d, lam, lam_bar)
+    ket, *bra = terms
     return offsets, ket, bra[0] if bra else ket
 
 

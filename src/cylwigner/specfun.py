@@ -38,8 +38,15 @@ def check_order_bound(quanta):
 
 
 def diagonal_power(d, lam, lam_bar):
-    """The power of offset d in the diagonal form: lam^d for d >= 0, lam_bar^-d otherwise."""
-    return lam ** d if d >= 0 else lam_bar ** -d
+    """The power of offset d in the diagonal form, lam^d for d >= 0 and lam_bar^-d otherwise,
+    as a complex array, by repeated squaring: numpy's complex pow is four times slower."""
+    base, d = np.asarray(lam if d >= 0 else lam_bar, dtype=complex), abs(d)
+    power = base.copy() if d & 1 else np.ones_like(base)
+    while d := d >> 1:
+        base = base * base
+        if d & 1:
+            power = power * base
+    return power
 
 
 def hermite2_general(m, n, lam, lam_bar):

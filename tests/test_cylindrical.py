@@ -106,16 +106,22 @@ def test_phi_independence_of_eigenstates():
 
 
 def test_grid_matches_pointwise(rng):
-    s = make_superposition(1, -1, 0.4, 5)
+    # N=2 l0=0 has the one offset d = 0, whose phase the kernel skips, and N=3 l0=-1
+    # one offset d != 0: either way the grid keeps its phi axis, and W is flat in phi
     r_nodes = [0.6, 1.4]
-    phi_nodes = [0.0, 2.0]
+    phi_nodes = np.linspace(0, 2 * pi, 5, endpoint=False)
     ells = [-1, 0, 2]
-    grid = wigner_cyl_grid(s, r_nodes, phi_nodes, ells)
-    assert isinstance(grid, CylGrid)
-    for i, r in enumerate(r_nodes):
-        for j, phi in enumerate(phi_nodes):
-            for k, ell in enumerate(ells):
-                assert grid.values[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
+    for s in (make_superposition(1, -1, 0.4, 5), make_N_l_eigenstate(2, 0),
+              make_N_l_eigenstate(3, -1)):
+        grid = wigner_cyl_grid(s, r_nodes, phi_nodes, ells)
+        assert isinstance(grid, CylGrid)
+        assert grid.values.shape == (len(r_nodes), len(phi_nodes), len(ells))
+        for i, r in enumerate(r_nodes):
+            for j, phi in enumerate(phi_nodes):
+                for k, ell in enumerate(ells):
+                    assert grid.values[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
+        if len(s.amplitude_stack[0]) == 1:
+            assert np.ptp(grid.values, axis=1).max() <= 1e-13 * np.abs(grid.values).max()
 
 
 def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from cylwigner import TwoModeFock, hermite2, laguerre
 from cylwigner.errors import OrderBoundError
-from cylwigner.specfun import (MAX_TOTAL_ORDER, hermite2_general, laguerre_diagonals,
-                               laguerre_table)
+from cylwigner.specfun import (MAX_TOTAL_ORDER, diagonal_power, hermite2_general,
+                               laguerre_diagonals, laguerre_table)
 
 
 def hermite2_bruteforce(m, n, lam, lam_bar=None):
@@ -239,6 +239,35 @@ def test_hermite_laguerre_reduction(rng):
         want = ((-1) ** n * factorial(n) * lam ** (m - n)
                 * laguerre(n, m - n, abs(lam) ** 2))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_diagonal_power_of_offset_zero_is_complex_ones():
+    # hermite2_general with m = n multiplies by it, at a point and on an array
+    for lam in (0.3 - 1.2j, np.array([[0.5, 2.0 + 1.0j, -3.0]])):
+        got = diagonal_power(0, lam, np.conj(lam))
+        assert got.dtype == complex and got.shape == np.shape(lam)
+        assert np.all(got == 1.0)
+
+
+def test_diagonal_power_of_a_negative_offset_reads_lam_bar(rng):
+    lam = rng.normal(size=6) + 1j * rng.normal(size=6)
+    lam_bar = rng.normal(size=6) + 1j * rng.normal(size=6)  # independent of lam
+    for d in (1, 2, 3, 6, 13):
+        assert np.array_equal(diagonal_power(-d, lam, lam_bar), diagonal_power(d, lam_bar, lam))
+        assert np.allclose(diagonal_power(-d, lam, lam_bar), lam_bar ** d, rtol=1e-13, atol=0.0)
+
+
+def test_diagonal_power_is_within_a_few_d_ulps_of_the_exact_power(rng):
+    # repeated squaring rounds at each multiply, so its error grows with |d|
+    mpmath = pytest.importorskip("mpmath")
+    lam = rng.uniform(0.3, 2.0, 24) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 24))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for d in range(1, MAX_TOTAL_ORDER + 1):
+            got = diagonal_power(d, lam, lam.conj())
+            for g, z in zip(got.tolist(), lam.tolist()):
+                want = mpmath.mpc(z) ** d
+                assert abs(mpmath.mpc(g) - want) <= 2 * d * eps * abs(want), (d, z)
 
 
 def test_laguerre_diagonals_are_the_hermite_diagonals(rng):
