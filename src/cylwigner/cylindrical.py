@@ -69,7 +69,7 @@ DEFAULT_R_MIN = 1e-3
 
 @dataclass(frozen=True)
 class CylPoint:
-    """Evaluation point (r > 0, phi in [0, 2pi), integer ell)."""
+    """Evaluation point (float r > 0, phi in [0, 2pi), integer ell)."""
 
     r: float
     phi: float
@@ -81,8 +81,15 @@ class CylPoint:
         if not np.isfinite(self.phi):
             raise ValueError("phi must be finite")
         _integer_ell(self.ell)
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * pi))
+        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "phi", float(_wrap_phi(float(self.phi))))
         object.__setattr__(self, "ell", int(self.ell))
+
+
+def _wrap_phi(phi):
+    """phi reduced into [0, 2pi), the same bits for a float and an array: a tiny negative
+    phi is 2pi after one mod, and the second takes it to 0 and leaves the rest alone."""
+    return np.mod(np.mod(phi, 2.0 * pi), 2.0 * pi)
 
 
 def _integer_ell(ell):
@@ -109,7 +116,7 @@ def _integer_ell(ell):
     return ell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylGrid:
     """Dense evaluation result, values indexed as [r, phi, ell]."""
 
@@ -154,8 +161,9 @@ _BLOCK = 1 << 12
 def _evaluate(s, r, ell, phi):
     """W on rows of (r, ell) points times a phi axis, as a (rows, len(phi)) array.
 
-    The one evaluation kernel behind the point, grid and angle-OAM marginal
-    entry points: the contour-shifted Gauss-Hermite sum on arrays of shape
+    The evaluation kernel of the grid and angle-OAM marginal entry points, and
+    the row sum of wigner_cyl's single point: the contour-shifted
+    Gauss-Hermite sum on arrays of shape
     (rows, phi, nodes), summed over the nodes.  Along the shifted contour
     u = xi_fwd xi_bwd = r^2 + (t + i ell/r)^2 does not involve phi, so the
     state's diagonal polynomials are evaluated once per (row, node) and phi
@@ -170,7 +178,7 @@ def _evaluate(s, r, ell, phi):
         raise ValueError("r must be strictly positive")
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
-    phi = np.mod(phi, 2.0 * pi)
+    phi = _wrap_phi(phi)
     rule = default_rule(s)
 
     # where the envelope underflows, bail out before the polynomial part overflows;
@@ -184,7 +192,7 @@ def _evaluate(s, r, ell, phi):
     width = max(1, _BLOCK // rule.order)
     step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
     if r.size <= step and phi.size <= width and alive.all():  # one block of live rows
-        return _sum_rows(s, r, shift, expo, phi, rule)
+        return np.broadcast_to(_sum_rows(s, r, shift, expo, phi, rule), (r.size, phi.size))
     live = np.flatnonzero(alive)
     out = np.zeros((r.size, phi.size))
     for lo in range(0, live.size, step):
@@ -196,7 +204,8 @@ def _evaluate(s, r, ell, phi):
 
 
 def _sum_rows(s, r, shift, expo, phi, rule):
-    """The kernel's Gauss-Hermite sum for rows whose envelope does not underflow."""
+    """The kernel's Gauss-Hermite sum for rows whose envelope does not underflow, as
+    (rows, len(phi)), or (rows, 1) when W does not depend on phi."""
     # xi = r +- i (t + i ell/r) = (r -+ ell/r) +- i t, on (rows, 1, nodes): phi comes later
     xi_fwd, xi_bwd = np.empty((2, r.size, 1, rule.order), dtype=complex)
     xi_fwd.real, xi_fwd.imag = (r - shift)[:, None, None], rule.nodes
@@ -216,13 +225,24 @@ def _sum_rows(s, r, shift, expo, phi, rule):
         raise QuadratureResidueError(
             "imaginary residue of the cylindrical Wigner sum exceeds tolerance"
         )
-    # with every offset 0, W does not depend on phi and one column stands for the axis
-    return np.broadcast_to(val.real, (r.size, phi.size))
+    return val.real
 
 
 def wigner_cyl(s, at):
-    """W(r, phi, ell) by the contour-shifted Gauss-Hermite sum (exact)."""
-    return float(_evaluate(s, at.r, at.ell, at.phi)[0, 0])
+    """W(r, phi, ell) by the contour-shifted Gauss-Hermite sum (exact).
+
+    A CylPoint is checked and its phi reduced, so its envelope is taken in
+    Python floats, as _evaluate takes it for a row, and the kernel sums one row.
+    """
+    rule, r = default_rule(s), at.r
+    shift = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
+    expo = r * r + shift * shift
+    # an infinite shift is an underflow zero: its test would read inf - inf
+    if not (isfinite(shift) and _alive(expo, s.max_total_quanta,
+                                       r + abs(shift) + rule.nodes[-1])):
+        return 0.0
+    row = np.array([r, shift, expo, at.phi])[:, None]
+    return float(_sum_rows(s, row[0], row[1], row[2], row[3], rule)[0, 0])
 
 
 def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
@@ -347,16 +367,20 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     """
     if pr_rule.kind is not QuadKind.GAUSS_HERMITE:
         raise ValueError("p_r integration requires a Gauss-Hermite rule")
-    r, phi, ell = at.r, at.phi, at.ell
-    lam = ell / float(r)  # float division: inf at a subnormal r, and no numpy warning
+    r, phi = at.r, at.phi
+    lam = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
     if not isfinite(lam):  # refused before lam * sin(phi) makes a nan
         raise ValueError("phase-space coordinates must be finite")
+    # at x = r cos(phi), y = r sin(phi), p_x = t cos(phi) - lam sin(phi) and
+    # p_y = t sin(phi) + lam cos(phi): w = p_y + i p_x = i e^{-i phi} t + lam e^{-i phi}
+    # and z = x - i y = r e^{-i phi}, each part rounded as wigner_4d rounds it
     c, sn = cos(phi), sin(phi)
-    p_x = pr_rule.nodes * c - lam * sn
-    p_y = pr_rule.nodes * sn + lam * c
+    rot = complex(c, -sn)
+    w = complex(sn, c) * pr_rule.nodes + lam * rot
+    alpha = w + np.array([[r * rot], [-r * rot]])
     # no far-displacement warning: the overlap is exact for the truncated table, and the
     # warning, aimed at users approximating untruncated states, would fire at far nodes
-    vals = _wigner_4d(s, r * c, p_x, r * sn, p_y)
+    vals = _wigner_4d(s, alpha)
     total = 0.0
     for term in (deweighted(pr_rule) * vals).tolist():  # node order, left to right
         total += term

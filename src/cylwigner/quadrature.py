@@ -3,7 +3,8 @@
 Nodes and weights come from numpy's ``hermgauss`` and ``leggauss``: exactly
 symmetric rules of any order, whose weights keep full relative accuracy out
 to the tiny outer nodes.  Rules are immutable, so each is built once per
-argument tuple and then shared.
+argument tuple and then shared.  A rule compares and hashes by identity,
+so it can key a cache, as it does for :func:`deweighted`.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ class QuadKind(Enum):
     GAUSS_LEGENDRE_MAPPED = "gauss-legendre-mapped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Immutable node/weight table.
 
@@ -72,12 +73,16 @@ def gauss_legendre_mapped(order, r_min, r_max):
     return QuadratureRule(QuadKind.GAUSS_LEGENDRE_MAPPED, order, nodes, weights)
 
 
+@lru_cache(maxsize=128)
 def deweighted(rule):
-    """Weights with the Gaussian factor removed: w_k * e^{t_k^2}.
+    """Weights with the Gaussian factor removed: w_k * e^{t_k^2}, read-only and
+    computed once per rule.
 
     Turns a Gauss-Hermite rule into a plain integrator over the real line
     for integrands that already carry their own Gaussian decay.
     """
     if rule.kind is not QuadKind.GAUSS_HERMITE:
         raise ValueError("deweighting applies to Gauss-Hermite rules only")
-    return rule.weights * np.exp(rule.nodes ** 2)
+    weights = rule.weights * np.exp(rule.nodes ** 2)
+    weights.setflags(write=False)
+    return weights

@@ -11,7 +11,8 @@ evaluator re-checks them.  The constructors check the bound on their top
 quanta (``specfun.check_order_bound``) before they allocate a table.  A
 state expands its entangled-basis amplitude once, as Laguerre series
 (``laguerre_stack``), and the cylindrical kernel reads their monomial form
-(``amplitude_stack``).
+(``amplitude_stack``), and the 4D oracle reads its parity tables
+(``parity_tables``).  States and points compare and hash by identity.
 """
 
 import warnings
@@ -27,7 +28,7 @@ from .specfun import check_order_bound, laguerre_diagonals, laguerre_table
 _NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeFock:
     """Normalized complex coefficient table c[n_plus, n_minus], 0 <= n <= cutoff,
     with at most MAX_TOTAL_ORDER total quanta."""
@@ -90,8 +91,18 @@ class TwoModeFock:
             a.setflags(write=False)
         return offsets, coeffs
 
+    @cached_property
+    def parity_tables(self):
+        """``(conj(c), c (-1)^(n+ + n-))``, read-only: the bra and the parity-weighted
+        ket of the displaced-parity overlap, computed once."""
+        n = np.arange(self.coeffs.shape[0])
+        tables = (np.conj(self.coeffs), self.coeffs * (-1.0) ** np.add.outer(n, n))
+        for a in tables:
+            a.setflags(write=False)
+        return tables
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CartesianPoint4:
     """A point of the two-mode phase space, or a batch: arrays that broadcast together."""
 
@@ -210,13 +221,12 @@ def mode_rotate_xy_to_pm(coeffs_xy):
 def _dim_constants(dim):
     """Read-only arrays of dim alone: k, min(m, n), |m - n|, sqrt(min! / max!) signed
     (-1)^(n - m) for m < n, from exact integers (an lgamma form is 2.2e-15 off at dim 21),
-    the index of each element's power in displaced_fock_matrix, and the parity (-1)^(m + n)."""
+    and the index of each element's power in displaced_fock_matrix."""
     k = np.arange(dim)
     lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
               for n in range(dim)] for m in range(dim)]
-    consts = (k, lo, hi - lo, np.array(ratio),
-              hi - lo + dim * np.less.outer(k, k), (-1.0) ** np.add.outer(k, k))
+    consts = (k, lo, hi - lo, np.array(ratio), hi - lo + dim * np.less.outer(k, k))
     for a in consts:
         a.setflags(write=False)
     return consts
@@ -230,13 +240,14 @@ def displaced_fock_matrix(alpha, dim):
     alpha.shape + (dim, dim), each computed as for that alpha alone; -conj(alpha)
     gives the transpose of alpha's matrix, bit for bit.
     """
-    k, lo, order, ratio, gather, _ = _dim_constants(dim)
+    k, lo, order, ratio, gather = _dim_constants(dim)
     alpha = np.asarray(alpha, dtype=complex)[..., None]
     aa = alpha.real ** 2 + alpha.imag ** 2
-    # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m), its sign in ratio
+    # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m), its sign in ratio;
+    # the envelope exp(-|alpha|^2 / 2) goes on the row of powers, before the gather
     powers = alpha ** k
+    powers *= np.exp(aa * -0.5)
     d = ratio * np.concatenate([powers, powers.conj()], axis=-1)[..., gather]
-    d *= np.exp(aa * -0.5)[..., None]
     # the table is (degree, batch..., order): a transposed view gathers as (batch, m, n)
     lag = laguerre_table(dim - 1, k, aa).reshape(dim, -1, dim).transpose(1, 0, 2)
     d *= lag[:, lo, order].reshape(d.shape)
@@ -263,20 +274,22 @@ def wigner_4d(s, at):
             "displacement amplitude^2 exceeds cutoff/2; the truncated table "
             "is a poor stand-in for any untruncated state this far out",
             TruncationWarning, stacklevel=2)
-    return _wigner_4d(s, at.x, at.p_x, at.y, at.p_y)
+    w = at.p_y + 1j * np.asarray(at.p_x)
+    z = at.x - 1j * np.asarray(at.y)
+    return _wigner_4d(s, np.array([w + z, w - z]))
 
 
-def _wigner_4d(s, x, p_x, y, p_y):
-    """wigner_4d at coordinates its caller checked, without the far-displacement warning."""
-    c = s.coeffs
-    # 2 a_+ = w + z, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call
-    w = p_y + 1j * np.asarray(p_x)
-    z = x - 1j * np.asarray(y)
-    parity = _dim_constants(c.shape[0])[-1]
+def _wigner_4d(s, alpha):
+    """wigner_4d at alpha = (w + z, w - z), w = p_y + i p_x and z = x - i y, stacked on a
+    leading axis of 2: coordinates its caller checked, without the far-displacement warning.
+
+    w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.
+    """
+    bra, ket = s.parity_tables
     # far out, alpha^k overflows while exp(-|alpha|^2 / 2) underflows: a nan, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        d = displaced_fock_matrix(np.array([w + z, w - z]), c.shape[0])
-        val = (np.conj(c) * (d[0] @ (c * parity) @ d[1])).sum(axis=(-2, -1)) / pi ** 2
+        d = displaced_fock_matrix(alpha, bra.shape[0])
+        val = (bra * (d[0] @ ket @ d[1])).sum(axis=(-2, -1)) / pi ** 2
     real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(np.abs(val), 1e-300))
     if not real.all():
         raise QuadratureResidueError(

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwigner import (KAPPA, CylGrid, CylPoint, TwoModeFock, cylindrical,
+from cylwigner import (KAPPA, CartesianPoint4, CylGrid, CylPoint, TwoModeFock, cylindrical,
                        gauss_hermite, gauss_legendre_mapped, make_N_l_eigenstate,
                        make_summed_oam, make_superposition, marginal_angle_oam,
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
 from cylwigner.errors import ConvergenceError, OrderBoundError, QuadratureResidueError
+from cylwigner.quadrature import QuadKind, QuadratureRule, deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
@@ -138,6 +139,28 @@ def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):
         for j, phi in enumerate(phi_nodes):
             for k, ell in enumerate(ells):
                 assert grid[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
+
+
+@pytest.mark.parametrize("r, phi, ell", [
+    (5e-324, 0.3, 3),  # ell / r is infinite: an underflow zero
+    (5e-324, 0.3, 0),
+    (1e-3, 0.4, 5),  # the CLI's default corner
+    (1e-3, 0.4, -5),
+    (1.1, -1e-20, 2),  # one mod gives 2pi here, which both routes must take to 0
+    (1.1, 2 * pi + 1e-15, -3),
+    (0.7, 0.2, 2 ** 62),
+])
+def test_point_route_is_bitwise_the_one_point_grid_at_the_edges(r, phi, ell):
+    # wigner_cyl takes its envelope in Python floats, the grid in numpy arrays
+    for s in (make_superposition(3, -3, 0.4, 9), vacuum_state()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = wigner_cyl(s, CylPoint(r, phi, ell))
+            grid = wigner_cyl_grid(s, [r], [phi], [ell]).values[0, 0, 0]
+        assert point == grid and np.signbit(point) == np.signbit(grid)
+        if r < 1e-300 and ell:
+            assert point == 0.0
+    assert 0.0 <= CylPoint(r, phi, ell).phi < 2 * pi
 
 
 def test_long_phi_axis_is_evaluated_in_slices(monkeypatch):
@@ -307,6 +330,38 @@ def test_oracle_ratio_is_kappa(rng):
 
 
 PROBE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "probe_reference.json"
+
+
+def test_oracle_tables_are_built_once_and_read_only():
+    s = make_superposition(3, -3, 0.4, 9)
+    rule = gauss_hermite(s.max_total_quanta + 8)
+    pt = CylPoint(1.2, 0.5, 1)
+    first = oracle_cyl_from_cartesian(s, pt, rule)
+    tables, weights = s.parity_tables, deweighted(rule)
+    hits = deweighted.cache_info().hits
+    assert oracle_cyl_from_cartesian(s, pt, rule) == first
+    assert deweighted.cache_info().hits == hits + 1
+    assert s.parity_tables is tables and deweighted(rule) is weights
+    bra, ket = tables
+    assert np.array_equal(bra, np.conj(s.coeffs))
+    dim = s.coeffs.shape[0]
+    assert np.array_equal(ket, s.coeffs * (-1.0) ** np.add.outer(range(dim), range(dim)))
+    for a in (bra, ket, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TwoModeFock(np.array([[1.0]], dtype=complex)),
+    lambda: QuadratureRule(QuadKind.GAUSS_HERMITE, 1, np.array([0.0]), np.array([sqrt(pi)])),
+    lambda: CylGrid(np.array([1.0]), np.array([0.0]), np.array([0]), np.zeros((1, 1, 1))),
+    lambda: CartesianPoint4(np.zeros(2), 0.0, 0.0, 0.0),
+], ids=["TwoModeFock", "QuadratureRule", "CylGrid", "CartesianPoint4"])
+def test_objects_holding_arrays_compare_and_hash_by_identity(make):
+    # field-wise == would compare arrays, whose truth value is ambiguous
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_oracle_matches_the_reference_at_30_to_40_quanta():
