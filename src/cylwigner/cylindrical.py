@@ -49,7 +49,7 @@ from math import cos, floor, hypot, isfinite, pi, sin, sqrt
 
 import numpy as np
 
-from .entangled import amplitude_terms
+from .entangled import amplitude_terms, wrap_phi
 from .errors import ConvergenceError, QuadratureResidueError, TruncationWarning
 from .quadrature import QuadKind, deweighted, gauss_hermite
 from .specfun import diagonal_power, laguerre_table
@@ -82,14 +82,8 @@ class CylPoint:
             raise ValueError("phi must be finite")
         _integer_ell(self.ell)
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "phi", float(_wrap_phi(float(self.phi))))
+        object.__setattr__(self, "phi", float(wrap_phi(float(self.phi))))
         object.__setattr__(self, "ell", int(self.ell))
-
-
-def _wrap_phi(phi):
-    """phi reduced into [0, 2pi), the same bits for a float and an array: a tiny negative
-    phi is 2pi after one mod, and the second takes it to 0 and leaves the rest alone."""
-    return np.mod(np.mod(phi, 2.0 * pi), 2.0 * pi)
 
 
 def _integer_ell(ell):
@@ -167,9 +161,9 @@ def _evaluate(s, r, ell, phi):
     (rows, phi, nodes), summed over the nodes.  Along the shifted contour
     u = xi_fwd xi_bwd = r^2 + (t + i ell/r)^2 does not involve phi, so the
     state's diagonal polynomials are evaluated once per (row, node) and phi
-    enters only as the phases e^{-i d phi} (ket) and e^{i d phi} (bra) of
-    each offset d.  Every step is element-wise, so a point's value does not
-    depend on the batch it is evaluated in.
+    enters only as the phase e^{-i d phi} of each offset d of the ket; the bra
+    is the conjugate ket at the mirrored node.  Every step is element-wise, so
+    a point's value does not depend on the batch it is evaluated in.
     """
     r, ell = np.asarray(r, dtype=float), _integer_ell(ell)  # a scalar ell broadcasts as is
     r, ell = (a.ravel() for a in np.broadcast_arrays(r, ell)) if ell.ndim else (r.ravel(), ell)
@@ -178,7 +172,7 @@ def _evaluate(s, r, ell, phi):
         raise ValueError("r must be strictly positive")
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
-    phi = _wrap_phi(phi)
+    phi = wrap_phi(phi)
     rule = default_rule(s)
 
     # where the envelope underflows, bail out before the polynomial part overflows;
@@ -205,19 +199,20 @@ def _evaluate(s, r, ell, phi):
 
 def _sum_rows(s, r, shift, expo, phi, rule):
     """The kernel's Gauss-Hermite sum for rows whose envelope does not underflow, as
-    (rows, len(phi)), or (rows, 1) when W does not depend on phi."""
+    (rows, len(phi)), or (rows, 1) when W does not depend on phi.  Only the ket is
+    summed over the offsets: Psi*(r - i r') at node t is conj of Psi(r + i r') at
+    node -t, and the rule's nodes are exactly paired."""
     # xi = r +- i (t + i ell/r) = (r -+ ell/r) +- i t, on (rows, 1, nodes): phi comes later
     xi_fwd, xi_bwd = np.empty((2, r.size, 1, rule.order), dtype=complex)
     xi_fwd.real, xi_fwd.imag = (r - shift)[:, None, None], rule.nodes
     xi_bwd.real, xi_bwd.imag = (r + shift)[:, None, None], -rule.nodes
-    offsets, ket_terms, bra_terms = amplitude_terms(s, xi_fwd, xi_bwd)
-    # one phase table: e^{-i d phi} for the ket, its conjugate for the bra; 1 at d = 0
-    phases = np.exp(-1j * offsets[:, None] * phi)[:, :, None]
-    ket = bra = 0.0
-    for d, phase, ket_term, bra_term in zip(offsets.tolist(), phases, ket_terms, bra_terms):
-        ket = ket + (phase * ket_term if d else ket_term)
-        bra = bra + (phase.conj() * bra_term if d else bra_term)
-    prod = bra * ket
+    offsets, terms = amplitude_terms(s, xi_fwd, xi_bwd)
+    phases = np.exp(-1j * offsets[:, None] * phi)[:, :, None]  # e^{-i d phi}; 1 at d = 0
+    ket = 0.0
+    for d, phase, term in zip(offsets.tolist(), phases, terms):
+        ket = ket + (phase * term if d else term)
+    # xi at -t is conj(xi) at t: the bra at node t is the ket at -t, conjugated
+    prod = ket[..., ::-1].conj() * ket
     envelope = 4.0 * np.exp(-expo)[:, None]
     val = envelope * np.add.reduce(rule.weights * prod, -1)
     scale = np.maximum(np.abs(val), envelope * np.add.reduce(rule.weights * np.abs(prod), -1))
@@ -310,7 +305,7 @@ def _radial_sum(s, r, h):
         return 0.0
     rp = h * np.arange(-np.ceil(x / h), np.ceil(x / h) + 1)
     u = r * r + rp * rp
-    offsets, series = s.laguerre_stack
+    offsets, series, _ = s.amplitude_table
     p = np.sum(series[:, :, None] * laguerre_table(len(series) - 1, np.abs(offsets)[:, None], u),
                axis=0)
     # ket_d bra_d = diagonal_power(2 d, xi, conj(xi)) |p_d(u)|^2, with xi = r + i r'

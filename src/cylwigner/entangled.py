@@ -6,10 +6,12 @@ polynomials under a Gaussian envelope.  A state's wavefunction in this
 representation, Psi(xi, phi) = <xi e^{-i phi}|Psi>, is the object the
 cylindrical Wigner transform integrates.
 
-A state's amplitude polynomial is evaluated from its cached diagonal table
-(``TwoModeFock.amplitude_stack``, the monomial form of ``laguerre_stack``): one
-Horner pass in u = lam lam_bar for every OAM value at once, in place, then each
-nonzero offset d times its power (:func:`specfun.diagonal_power`).  A single
+A state's amplitude polynomial is evaluated from the monomial form of its one
+cached diagonal table (``TwoModeFock.amplitude_table``): one Horner pass in
+u = lam lam_bar for every OAM value at once, in place, then each nonzero
+offset d times its power (:func:`specfun.diagonal_power`).  The bra side has
+no table or pass of its own: it is the conjugate ket at conjugated arguments,
+which on the cylindrical contour is the ket at the mirrored node.  A single
 Fock overlap (:func:`xi_fock_overlap`) evaluates one Hermite polynomial
 through the same Laguerre reduction (:func:`specfun.hermite2`).
 """
@@ -32,7 +34,13 @@ class EntangledArg:
     def __post_init__(self):
         if not (np.isfinite(self.xi) and np.isfinite(self.phi)):
             raise ValueError("entangled-basis arguments must be finite")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * pi))
+        object.__setattr__(self, "phi", float(wrap_phi(float(self.phi))))
+
+
+def wrap_phi(phi):
+    """phi reduced into [0, 2pi), the same bits for a float and an array: a tiny negative
+    phi is 2pi after one mod, and the second takes it to 0 and leaves the rest alone."""
+    return np.mod(np.mod(phi, 2.0 * pi), 2.0 * pi)
 
 
 def xi_fock_overlap(xi, n_plus, n_minus):
@@ -50,27 +58,25 @@ def xi_fock_overlap(xi, n_plus, n_minus):
 def amplitude_terms(s, lam, lam_bar):
     """The terms of amplitude_polynomial from one Horner pass in u = lam lam_bar.
 
-    ``(offsets, ket, bra)``: with d = offsets[i], ket[i] = diagonal_power(d,
-    lam, lam_bar) p_d(u) and bra[i] is that power times conj(p_d)(u), the bra
-    term of offset -d at swapped arguments; a real table's bra is its ket.
-    Rotating the arguments to (lam e^{-i phi}, lam_bar e^{i phi}) leaves u
-    alone and multiplies ket[i] by e^{-i d phi} and bra[i] by e^{i d phi},
-    which is how the cylindrical kernel factors out phi.
+    ``(offsets, terms)``: with d = offsets[i], terms[i] = diagonal_power(d, lam,
+    lam_bar) p_d(u).  Rotating the arguments to (lam e^{-i phi}, lam_bar e^{i phi})
+    leaves u alone and multiplies terms[i] by e^{-i d phi}, which is how the
+    cylindrical kernel factors out phi.  The bra side needs no pass of its own: its
+    term of offset d is conj(terms[i]) at (conj(lam), conj(lam_bar)).
     """
     lam = np.asarray(lam, dtype=complex)
     lam_bar = np.asarray(lam_bar, dtype=complex)
     u = lam * lam_bar
-    offsets, coeffs = s.amplitude_stack
+    offsets, _, coeffs = s.amplitude_table
     coeffs = coeffs.reshape(coeffs.shape + (1,) * u.ndim)
-    terms = np.full(coeffs.shape[1:3] + u.shape, coeffs[0])
+    terms = np.full(coeffs.shape[1:2] + u.shape, coeffs[0])
     for c in coeffs[1:]:
         terms *= u
         terms += c
     for i, d in enumerate(offsets.tolist()):
         if d:
-            terms[:, i] *= diagonal_power(d, lam, lam_bar)
-    ket, *bra = terms
-    return offsets, ket, bra[0] if bra else ket
+            terms[i] *= diagonal_power(d, lam, lam_bar)
+    return offsets, terms
 
 
 def amplitude_polynomial(s, lam, lam_bar):

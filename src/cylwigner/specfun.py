@@ -10,11 +10,12 @@ L_n^(m-n)(lam lam_bar) for m >= n, and its mirror for m < n.
 A whole Fock table's Hermite combination is expanded once, in diagonal form
 (:func:`laguerre_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
 i - j = m - n, so the combination is a short list of offsets d, each with a
-Laguerre series in u = lam lam_bar, times :func:`diagonal_power`: lam^d for
-d >= 0 and lam_bar^-d for d < 0, written there once for every caller.
+polynomial in u = lam lam_bar, as a Laguerre series and in monomial form from
+the same pass, times :func:`diagonal_power`: lam^d for d >= 0 and lam_bar^-d
+for d < 0, written there once for every caller.
 """
 
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import OrderBoundError
 #: when its table is built (the constructors check it before they allocate).
 #: The coefficients stay finite far past it, but the contour-shifted
 #: cylindrical sum loses accuracy long before it: 1.82e-5 relative at 20
-#: total quanta and 2.1e-3 at 26 (sample worsts of summed states, seeds 0-13
+#: total quanta and 1.36e-3 at 26 (sample worsts of summed states, seeds 0-13
 #: in README), wrong values from about 30 (ROADMAP).
 MAX_TOTAL_ORDER = 60
 
@@ -79,25 +80,32 @@ def laguerre_diagonals(coeffs):
     This is the Fock expansion of an entangled-basis amplitude with
     coeffs[n+, n-]: one offset d = n - m per OAM value n+ - n- = -d, and the
     sum equals Sum_d diagonal_power(d, lam, lam_bar) p_d(u).  Returns
-    ``(offsets, series)`` over the occupied offsets in ascending order, with
-    p_d(u) = Sum_k series[k, i] L_k^|d|(u), d = offsets[i], from the reduction
-    above, so every coefficient is at most the Fock coefficient in modulus.
-    On u >= 0 the series is summed stably by :func:`laguerre_table`, where
-    the monomial form cancels: at 40 quanta its Horner sum loses about 9 digits.
+    ``(offsets, series, monomials)`` over the occupied offsets in ascending
+    order, with p_d(u) = Sum_k series[k, i] L_k^|d|(u), d = offsets[i], from the
+    reduction above, so every coefficient is at most the Fock coefficient in
+    modulus.  monomials[j, i] is the coefficient of u^(degree - j) in p_d, for
+    one Horner pass, zero-padded at the top, from the same loop through
+    L_k^a(u) = Sum_j (-1)^j C(k + a, k - j) u^j / j!.  On u >= 0 the series is
+    summed stably by :func:`laguerre_table`, where the monomial form cancels:
+    at 40 quanta its Horner sum loses about 9 digits.
     """
     coeffs = np.asarray(coeffs)
     support = np.argwhere(coeffs != 0).tolist()
     offsets = sorted({n - m for m, n in support})
-    series = np.zeros((max(min(m, n) for m, n in support) + 1, len(offsets)), dtype=complex)
+    degree = max(min(m, n) for m, n in support)
+    series = np.zeros((degree + 1, len(offsets)), dtype=complex)
+    monomials = np.zeros_like(series)
     for m, n in support:
-        k, alpha = min(m, n), abs(n - m)
+        k, alpha, i = min(m, n), abs(n - m), offsets.index(n - m)
         # coeffs / sqrt(m! n!) times (-1)^k k!, from one correctly rounded ratio
-        series[k, offsets.index(n - m)] += (coeffs[m, n] * (-1) ** k
-                                            * sqrt(factorial(k) / factorial(k + alpha)))
+        c = coeffs[m, n] * (-1) ** k * sqrt(factorial(k) / factorial(k + alpha))
+        series[k, i] += c
+        monomials[degree - k:, i] += c * np.array([(-1) ** j * comb(k + alpha, k - j)
+                                                   / factorial(j) for j in range(k, -1, -1)])
     offsets = np.array(offsets)
-    for a in (offsets, series):
+    for a in (offsets, series, monomials):
         a.setflags(write=False)
-    return offsets, series
+    return offsets, series, monomials
 
 
 def hermite2(m, n, lam):

@@ -38,6 +38,11 @@ class StateSpec:
     kind: StateKind
     params: dict
 
+    def __hash__(self):
+        """Consistent with ==: the parameters as a frozenset, a raw table's entries too."""
+        p = self.params["coeffs"] if self.kind is StateKind.RAW_COEFFS else self.params
+        return hash((self.kind, frozenset(p.items())))
+
     def validate(self):
         """Check constructor preconditions (ValueError naming them) and the
         total-quanta bound (OrderBoundError)."""

@@ -9,10 +9,10 @@ A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta
 by construction: both are checked once, when the table is built, so no
 evaluator re-checks them.  The constructors check the bound on their top
 quanta (``specfun.check_order_bound``) before they allocate a table.  A
-state expands its entangled-basis amplitude once, as Laguerre series
-(``laguerre_stack``), and the cylindrical kernel reads their monomial form
-(``amplitude_stack``), and the 4D oracle reads its parity tables
-(``parity_tables``).  States and points compare and hash by identity.
+state expands its entangled-basis amplitude once (``amplitude_table``), as
+Laguerre series for the radial marginal and in monomial form for the
+cylindrical kernel, from one pass, and the 4D oracle reads its parity
+tables (``parity_tables``).  States and points compare and hash by identity.
 """
 
 import warnings
@@ -64,32 +64,13 @@ class TwoModeFock:
         return int(np.max(idx.sum(axis=1)))
 
     @cached_property
-    def laguerre_stack(self):
+    def amplitude_table(self):
         """The entangled-basis amplitude in diagonal form, computed once: ``(offsets,
-        series)`` from :func:`specfun.laguerre_diagonals`, one offset d = n- - n+ per
-        OAM value with a Laguerre series in u = lam lam_bar.  The radial marginal reads
-        it where u is real, and :attr:`amplitude_stack` is built from it."""
+        series, monomials)`` from :func:`specfun.laguerre_diagonals`, one offset
+        d = n- - n+ per OAM value with a Laguerre series and a monomial form in
+        u = lam lam_bar.  The cylindrical kernel reads the monomial form in one Horner
+        pass, and the radial marginal the series, where u is real."""
         return laguerre_diagonals(self.coeffs)
-
-    @cached_property
-    def amplitude_stack(self):
-        """``laguerre_stack`` in monomial form, as ``(offsets, coeffs)`` for one Horner pass:
-        coeffs[j, 0, i] is the coefficient of u^(degree - j) in p_d, d = offsets[i],
-        zero-padded at the top; a complex table adds conj(p_d) as coeffs[:, 1], read by
-        the bra side.  Each series is converted through
-        L_k^a(u) = Sum_j (-1)^j C(k + a, k - j) u^j / j!."""
-        offsets, series = self.laguerre_stack
-        degrees = range(len(series))
-        coeffs = np.zeros((len(series), 1, len(offsets)), dtype=complex)
-        for i, a in enumerate(np.abs(offsets).tolist()):
-            basis = np.array([[(-1) ** j * comb(k + a, k - j) / factorial(j) if k >= j else 0.0
-                               for k in degrees] for j in degrees])
-            coeffs[::-1, 0, i] = np.sum(basis * series[:, i], axis=1)
-        if coeffs.imag.any():
-            coeffs = np.concatenate([coeffs, coeffs.conj()], axis=1)
-        for a in (offsets, coeffs):
-            a.setflags(write=False)
-        return offsets, coeffs
 
     @cached_property
     def parity_tables(self):

@@ -12,7 +12,8 @@ from cylwigner import (KAPPA, CartesianPoint4, CylGrid, CylPoint, TwoModeFock, c
                        make_summed_oam, make_superposition, marginal_angle_oam,
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
-from cylwigner.errors import ConvergenceError, OrderBoundError, QuadratureResidueError
+from cylwigner.errors import (ConvergenceError, OrderBoundError, QuadratureResidueError,
+                              TruncationWarning)
 from cylwigner.quadrature import QuadKind, QuadratureRule, deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
@@ -61,6 +62,12 @@ def test_point_validation():
             CylPoint(1.0, 0.0, huge)
         with pytest.raises(ValueError, match="64 bits"):
             wigner_cyl_grid(vacuum_state(), [1.0], [0.0], [0, huge])
+    # an unsigned array past 2^63 too; in range, unsigned and object arrays read as int64
+    with pytest.raises(ValueError, match="64 bits"):
+        wigner_cyl_grid(vacuum_state(), [1.0], [0.0], np.array([0, 2 ** 63], dtype=np.uint64))
+    want = wigner_cyl_grid(vacuum_state(), [1.0], [0.0], [0, 2]).values
+    for ells in (np.array([0, 2], dtype=np.uint64), np.array([0, 2], dtype=object)):
+        assert np.array_equal(wigner_cyl_grid(vacuum_state(), [1.0], [0.0], ells).values, want)
     assert CylPoint(1.0, 2 * pi + 0.3, -1).phi == pytest.approx(0.3)
 
 
@@ -121,13 +128,13 @@ def test_grid_matches_pointwise(rng):
             for j, phi in enumerate(phi_nodes):
                 for k, ell in enumerate(ells):
                     assert grid.values[i, j, k] == wigner_cyl(s, CylPoint(r, phi, ell))
-        if len(s.amplitude_stack[0]) == 1:
+        if len(s.amplitude_table[0]) == 1:
             assert np.ptp(grid.values, axis=1).max() <= 1e-13 * np.abs(grid.values).max()
 
 
 def test_grid_is_bitwise_pointwise_for_any_batching(rng, monkeypatch):
     s = random_state(rng, cutoff=3)  # seven OAM offsets
-    assert len(s.amplitude_stack[0]) >= 3
+    assert len(s.amplitude_table[0]) >= 3
     r_nodes = [0.3, 0.9, 1.7]
     phi_nodes = np.linspace(0, 2 * pi, 7, endpoint=False)
     ells = [-2, 0, 1, 3]
@@ -225,6 +232,9 @@ def test_marginal_angle_oam_vacuum():
     for ell in range(-4, 5):
         got = marginal_angle_oam(s, 0.7, ell, rule)
         assert got == pytest.approx(2.0 * pi * exp(-2 * abs(ell)), rel=1e-6)
+    # a rule that ends before W decays is flagged
+    with pytest.warns(TruncationWarning, match="r_max"):
+        marginal_angle_oam(s, 0.7, 0, gauss_legendre_mapped(32, 1e-3, 1.0))
 
 
 def test_marginal_angle_oam_requires_mapped_rule():
@@ -238,6 +248,9 @@ def test_marginal_radial_vacuum():
     got = marginal_radial(s, r, 8)
     want = sum(2.0 * pi * vacuum_closed_form(r, ell) for ell in range(-8, 9))
     assert got == pytest.approx(want, rel=1e-10)
+    # far out every sample underflows by the kernel's test: exactly 0, with no samples
+    for state in (s, make_summed_oam(0, 20), make_superposition(3, -3, 0.4, 9)):
+        assert marginal_radial(state, 40.0) == 0.0
 
 
 def test_marginal_radial_is_the_phi_sum_of_points():
@@ -256,7 +269,7 @@ def test_marginal_radial_matches_the_dense_phi_rule(rng):
     states = [make_superposition(3, -3, 0.0, 9), make_superposition(1, -2, 0.7, 6),
               random_state(rng, cutoff=3)]
     for s in states:
-        assert len(s.amplitude_stack[0]) > 1
+        assert len(s.amplitude_table[0]) > 1
         n_phi = 4 * s.max_total_quanta + 5
         phis = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
         for r in (0.7, 1.1, 1.6):
@@ -288,16 +301,18 @@ def test_marginal_radial_edge_guard(monkeypatch):
 
 
 def test_kernel_realness_check(monkeypatch):
-    # the kernel's one self-check: a sum that is not real is refused, not truncated
+    # the kernel's one self-check: a sum that is not real is refused, not truncated.
+    # The bra is the ket at the mirrored node, so bra * ket at -t is the conjugate of
+    # bra * ket at t whatever the ket is: the fault goes into the weights instead
     states = [make_summed_oam(2, 6), make_superposition(3, -3, 0.4, 9)]
-    exact = cylindrical.amplitude_terms
+    exact = cylindrical.default_rule
 
-    def lopsided(s, xi_fwd, xi_bwd):  # breaks the conjugate symmetry of the nodes +-t
-        offsets, ket, bra = exact(s, xi_fwd, xi_bwd)
-        skew = 1.0 + 0.1 * (xi_fwd.imag > 0)  # Im xi_fwd is the node t
-        return offsets, ket * skew, bra * skew
+    def lopsided(s):  # breaks the pairing of the weights at the nodes +-t
+        rule = exact(s)
+        return QuadratureRule(rule.kind, rule.order, rule.nodes,
+                              rule.weights * (1.0 + 0.1 * (rule.nodes > 0)))
 
-    monkeypatch.setattr(cylindrical, "amplitude_terms", lopsided)
+    monkeypatch.setattr(cylindrical, "default_rule", lopsided)
     for s in states:
         for r in (0.5, 1.0, 2.0):
             for ell in (-2, 1, 3):

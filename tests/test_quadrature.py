@@ -3,8 +3,10 @@ from math import fsum, gamma, pi, sqrt
 import numpy as np
 import pytest
 
-from cylwigner import QuadKind, gauss_hermite, gauss_legendre_mapped
+from cylwigner import (QuadKind, default_rule, gauss_hermite, gauss_legendre_mapped,
+                       make_N_l_eigenstate)
 from cylwigner.quadrature import MAX_ORDER, deweighted
+from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
 def test_gh_order_one():
@@ -20,7 +22,12 @@ def test_gh_weight_sum():
 
 
 def test_gh_node_symmetry_exact():
-    for order in (2, 5, 33, 64):
+    # the cylindrical kernel reads its bra at the mirrored node: every order its rule
+    # can have is checked, quanta + 8 for every state within MAX_TOTAL_ORDER
+    kernel_orders = {default_rule(make_N_l_eigenstate(q, q)).order
+                     for q in range(MAX_TOTAL_ORDER + 1)}
+    assert kernel_orders == set(range(8, MAX_TOTAL_ORDER + 9))
+    for order in sorted(kernel_orders | {2, 5, 64}):
         rule = gauss_hermite(order)
         assert np.all(rule.nodes + rule.nodes[::-1] == 0.0)
         assert np.all(rule.weights == rule.weights[::-1])

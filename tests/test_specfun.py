@@ -272,23 +272,26 @@ def test_diagonal_power_is_within_a_few_d_ulps_of_the_exact_power(rng):
 
 def test_laguerre_diagonals_are_the_hermite_diagonals(rng):
     # the Laguerre series of laguerre_diagonals, and the monomial coefficients the
-    # kernel reads (amplitude_stack, its change of basis), against the exact-integer
-    # monomial expansion; zero entries and both signs of d included
+    # kernel reads, from the same pass, against the exact-integer monomial
+    # expansion; zero entries and both signs of d included
     coeffs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     coeffs[1, 3] = coeffs[4, 0] = 0.0
     coeffs /= np.linalg.norm(coeffs)
     u = rng.uniform(0.0, 3.0, size=7)
-    offsets, series = laguerre_diagonals(coeffs)
+    offsets, series, monomials = laguerre_diagonals(coeffs)
     want = monomial_diagonals(coeffs)
     assert offsets.tolist() == sorted(want) == list(range(-3, 5))  # no d = -4
-    stack_offsets, stack = TwoModeFock(coeffs).amplitude_stack
-    assert stack_offsets.tolist() == offsets.tolist()
-    assert stack.shape == (len(series), 2, len(offsets))
+    assert monomials.shape == series.shape == (5, len(offsets))
     for i, d in enumerate(offsets.tolist()):
         p = want[d]
         got = laguerre_table(len(series) - 1, abs(d), u).T @ series[:, i]
         assert np.allclose(got, np.polyval(p, u), rtol=1e-12, atol=1e-12 * np.abs(p).sum())
         top = len(series) - len(p)
-        assert not stack[:top, :, i].any()  # zero-padded above the offset's degree
-        assert np.allclose(stack[top:, 0, i], p, rtol=1e-14, atol=0.0)
-        assert np.array_equal(stack[:, 1, i], stack[:, 0, i].conj())
+        assert not monomials[:top, i].any()  # zero-padded above the offset's degree
+        assert np.allclose(monomials[top:, i], p, rtol=1e-14, atol=0.0)
+    # a state caches the same table, read-only
+    table = TwoModeFock(coeffs).amplitude_table
+    for a, b in zip(table, (offsets, series, monomials)):
+        assert np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -92,6 +92,24 @@ def test_round_trip_identity():
         assert serialize_state_spec(again) == serialize_state_spec(spec)
 
 
+def test_specs_hash_consistently_with_equality():
+    # equal specs hash equal: -0.0 == 0.0, and a raw table is a dict of entries
+    pairs = [("summed l0=0 Nmax=8", "summed Nmax=8 l0=0"),
+             ("superposition l1=3 l2=-3 phi0=0.0 Nmax=9",
+              "superposition l1=3 l2=-3 phi0=-0.0 Nmax=9"),
+             ("raw c[0,0]=0.6 c[1,2]=0.8j",
+              '{"kind": "raw", "coeffs": [[1, 2, [0, 0.8]], [0, 0, 0.6]]}')]
+    seen = {}
+    for a, b in pairs:
+        spec, same = parse_state_spec(a), parse_state_spec(b)
+        assert spec == same and hash(spec) == hash(same)
+        seen[spec] = a
+        assert seen[same] == a
+    assert len(seen) == 3
+    assert len({parse_state_spec(t) for pair in pairs for t in pair}) == 3
+    assert parse_state_spec("summed l0=0 Nmax=10") not in seen
+
+
 def test_validate_is_idempotent():
     spec = StateSpec(StateKind.EIGENSTATE, {"N": 2, "l0": 0})
     assert spec.validate() is spec
