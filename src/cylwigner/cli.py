@@ -8,7 +8,6 @@ Output is byte-deterministic for fixed inputs.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,44 +27,33 @@ ORACLE_SPREAD_TOL = 1e-6
 ORACLE_R_RANGE = (0.5, 2.2)
 ORACLE_ELL_SPAN = 3
 #: Largest grid that wigner-cyl evaluates, in points: about 110 times the default
-#: 64 x 64 x 11 grid, where a JSON export, or every point on the phi axis, peaks
-#: near 0.6 GiB resident.  A larger grid is refused before anything is allocated.
+#: 64 x 64 x 11 grid.  At the cap a 710 x 640 x 11 export peaks near 0.1 GiB resident,
+#: and all of it on the phi axis 0.7 GiB as CSV, 1.3 GiB as JSON (the writers hold the
+#: formatted phi axis).  A larger grid is refused before anything is allocated.
 MAX_GRID_POINTS = 5_000_000
 
 
-@dataclass(frozen=True)
-class GridRequest:
-    """Validated grid axes of a CLI run."""
-
-    r_min: float
-    r_max: float
-    n_r: int
-    n_phi: int
-    ell_min: int
-    ell_max: int
-
-    def __post_init__(self):
-        for name in ("r_min", "r_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.r_min <= 0:
-            raise ValueError("r_min must be strictly positive (r = 0 is excluded)")
-        if self.r_max <= self.r_min:
-            raise ValueError("r_max must exceed r_min")
-        if self.n_r < 1 or self.n_phi < 1:
-            raise ValueError("grid must have at least one node per axis")
-        if self.ell_min > self.ell_max:
-            raise ValueError("ell_min must not exceed ell_max")
-        n_points = self.n_r * self.n_phi * (self.ell_max - self.ell_min + 1)
-        if n_points > MAX_GRID_POINTS:
-            raise ValueError(f"grid of {n_points} points exceeds {MAX_GRID_POINTS}")
-
-    def axes(self):
-        r = np.linspace(self.r_min, self.r_max, self.n_r)
-        phi = np.linspace(0.0, 2.0 * np.pi, self.n_phi, endpoint=False)
-        # from a range of Python ints: arange's stop ell_max + 1 overflows at 2^63 - 1
-        ell = np.array(range(self.ell_min, self.ell_max + 1))
-        return r, phi, ell
+def grid_axes(r_min, r_max, n_r, n_phi, ell_min, ell_max):
+    """The (r, phi, ell) axes of a CLI grid, after checking them."""
+    for name, v in (("r_min", r_min), ("r_max", r_max)):
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+    if r_min <= 0:
+        raise ValueError("r_min must be strictly positive (r = 0 is excluded)")
+    if r_max <= r_min:
+        raise ValueError("r_max must exceed r_min")
+    if n_r < 1 or n_phi < 1:
+        raise ValueError("grid must have at least one node per axis")
+    if ell_min > ell_max:
+        raise ValueError("ell_min must not exceed ell_max")
+    n_points = n_r * n_phi * (ell_max - ell_min + 1)
+    if n_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {n_points} points exceeds {MAX_GRID_POINTS}")
+    r = np.linspace(r_min, r_max, n_r)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    # from a range of Python ints: arange's stop ell_max + 1 overflows at 2^63 - 1
+    ell = np.array(range(ell_min, ell_max + 1))
+    return r, phi, ell
 
 
 def _fmt(v):
@@ -97,21 +85,26 @@ def write_grid_csv(fh, spec, quad_order, grid):
 
 
 def write_grid_json(fh, spec, quad_order, grid):
-    doc = {
+    # json.dump(doc, fh, indent=1, sort_keys=True)'s bytes, one r plane at a time: every
+    # header key sorts before "values", so the header's dump, less its "\n}", comes first
+    header = json.dumps({
         "format": f"cylwigner-grid v{__version__}",
         "state": serialize_state_spec(spec),
         "quad_order": quad_order,
         "r_nodes": [_fmt(v) for v in grid.r_nodes],
         "phi_nodes": [_fmt(v) for v in grid.phi_nodes],
         "ell_values": [int(v) for v in grid.ell_values],
-        "values": [[[_fmt(v) for v in row] for row in plane] for plane in grid.values],
-    }
-    json.dump(doc, fh, indent=1, sort_keys=True)
-    fh.write("\n")
+    }, indent=1, sort_keys=True)
+    fh.write(header[:-2] + ',\n "values": [')
+    for i, plane in enumerate(grid.values):
+        rows = ("   [\n" + ",\n".join(f'    "{_fmt(v)}"' for v in row) + "\n   ]"
+                for row in plane.tolist())
+        fh.write((",\n  [\n" if i else "\n  [\n") + ",\n".join(rows) + "\n  ]")
+    fh.write("\n ]\n}\n")
 
 
-def cmd_wigner_cyl(spec, state, req, out_path, fmt="csv"):
-    grid = wigner_cyl_grid(state, *req.axes())
+def cmd_wigner_cyl(spec, state, axes, out_path, fmt):
+    grid = wigner_cyl_grid(state, *axes)
     order = default_rule(state).order
     writer = write_grid_csv if fmt == "csv" else write_grid_json
     if out_path in (None, "-"):
@@ -193,10 +186,9 @@ def main(argv=None):
         spec = parse_state_spec(args.state)
         state = build_state(spec)
         if args.command == "wigner-cyl":
-            req = GridRequest(args.r_min, args.r_max, args.nr, args.nphi,
-                              args.lmin if args.lmin is not None else -args.lmax,
-                              args.lmax)
-            return cmd_wigner_cyl(spec, state, req, args.out, args.format)
+            axes = grid_axes(args.r_min, args.r_max, args.nr, args.nphi,
+                             args.lmin if args.lmin is not None else -args.lmax, args.lmax)
+            return cmd_wigner_cyl(spec, state, axes, args.out, args.format)
         return cmd_oracle_check(state, args.n_points, args.seed)
     except SpecParseError as e:
         print(_error_record(EXIT_PARSE, e), file=sys.stderr)

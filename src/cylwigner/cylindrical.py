@@ -360,8 +360,7 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     nodes go to one batched 4D evaluation.  The ratio wigner_cyl / oracle
     is the single global constant KAPPA.
     """
-    if pr_rule.kind is not QuadKind.GAUSS_HERMITE:
-        raise ValueError("p_r integration requires a Gauss-Hermite rule")
+    weights = deweighted(pr_rule)  # refuses a rule other than Gauss-Hermite
     r, phi = at.r, at.phi
     lam = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
     if not isfinite(lam):  # refused before lam * sin(phi) makes a nan
@@ -377,6 +376,6 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     # warning, aimed at users approximating untruncated states, would fire at far nodes
     vals = _wigner_4d(s, alpha)
     total = 0.0
-    for term in (deweighted(pr_rule) * vals).tolist():  # node order, left to right
+    for term in (weights * vals).tolist():  # node order, left to right
         total += term
     return float(total)

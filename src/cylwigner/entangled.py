@@ -6,14 +6,14 @@ polynomials under a Gaussian envelope.  A state's wavefunction in this
 representation, Psi(xi, phi) = <xi e^{-i phi}|Psi>, is the object the
 cylindrical Wigner transform integrates.
 
-A state's amplitude polynomial is evaluated from the monomial form of its one
-cached diagonal table (``TwoModeFock.amplitude_table``): one Horner pass in
-u = lam lam_bar for every OAM value at once, in place, then each nonzero
-offset d times its power (:func:`specfun.diagonal_power`).  The bra side has
-no table or pass of its own: it is the conjugate ket at conjugated arguments,
-which on the cylindrical contour is the ket at the mirrored node.  A single
-Fock overlap (:func:`xi_fock_overlap`) evaluates one Hermite polynomial
-through the same Laguerre reduction (:func:`specfun.hermite2`).
+A state's amplitude is read from its one cached diagonal table
+(``TwoModeFock.amplitude_table``), then each nonzero offset d times its power
+(:func:`specfun.diagonal_power`).  On the cylindrical contour it is one Horner pass
+of the monomial form in u = lam lam_bar, for every OAM value at once, in place; the
+bra side, the conjugate ket at conjugated arguments, is the ket at the mirrored node.
+:func:`psi_entangled`, at the real u = |xi|^2, sums the Laguerre series instead, where
+the monomial form cancels.  A single Fock overlap (:func:`xi_fock_overlap`) evaluates
+one Hermite polynomial through the same Laguerre reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from math import lgamma, pi
 
 import numpy as np
 
-from .specfun import diagonal_power, hermite2, laguerre
+from .specfun import diagonal_power, hermite2, laguerre, laguerre_table
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,26 @@ def amplitude_polynomial(s, lam, lam_bar):
 
     With ``lam = xi e^{-i phi}`` and ``lam_bar = conj(lam)`` this is
     Psi(xi, phi) / exp(-|xi|^2 / 2), the sum of c[n+, n-] H_{n-, n+}(lam,
-    lam_bar) / sqrt(n+! n-!).  The two arguments are independent so the
-    same code serves the analytically continued integrand of the
-    cylindrical transform.  Its bra side (conjugate coefficients, swapped
-    Hermite indices) is conj(amplitude_polynomial(s, conj(lam_bar), conj(lam))).
+    lam_bar) / sqrt(n+! n-!).  The two arguments are independent so the same
+    code serves the cylindrical transform's continued integrand; on the real axis
+    psi_entangled sums the stable series.  Its bra side (conjugate coefficients,
+    swapped Hermite indices) is conj(amplitude_polynomial(s, conj(lam_bar), conj(lam))).
     """
     return np.sum(amplitude_terms(s, lam, lam_bar)[1], axis=0)
 
 
 def psi_entangled(s, at):
-    """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>."""
+    """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>.
+
+    u = |xi|^2 is real, so each p_d is summed from the table's Laguerre series, as the
+    radial marginal sums it: the monomial form cancels there (9 digits at 40 quanta).
+    """
     z = at.xi * np.exp(-1j * at.phi)
-    return complex(np.exp(-abs(at.xi) ** 2 / 2.0) * amplitude_polynomial(s, z, np.conj(z)))
+    u = abs(at.xi) ** 2
+    offsets, series, _ = s.amplitude_table
+    p = np.sum(series * laguerre_table(len(series) - 1, np.abs(offsets), u), axis=0)
+    return complex(np.exp(-u / 2.0) * sum(diagonal_power(d, z, np.conj(z)) * p_d
+                                          for d, p_d in zip(offsets.tolist(), p)))
 
 
 def laguerre_gauss_profile(N, l0, xi, phi=0.0):

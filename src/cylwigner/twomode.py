@@ -69,7 +69,7 @@ class TwoModeFock:
         series, monomials)`` from :func:`specfun.laguerre_diagonals`, one offset
         d = n- - n+ per OAM value with a Laguerre series and a monomial form in
         u = lam lam_bar.  The cylindrical kernel reads the monomial form in one Horner
-        pass, and the radial marginal the series, where u is real."""
+        pass, and the radial marginal and psi_entangled the series, where u is real."""
         return laguerre_diagonals(self.coeffs)
 
     @cached_property

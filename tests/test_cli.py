@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cylwigner import CylPoint, __version__, default_rule, wigner_cyl, wigner_cyl_grid
-from cylwigner.cli import _fmt, main, write_grid_csv
+from cylwigner.cli import _fmt, main, write_grid_csv, write_grid_json
 from cylwigner.statespec import build_state, parse_state_spec, serialize_state_spec
 
 
@@ -239,6 +239,61 @@ def test_csv_writer_matches_the_per_row_writer(text, axes):
     assert got.getvalue() == want.getvalue()
     if len(axes[0]) > 1:
         assert "e-07," in got.getvalue() and "e-21," in got.getvalue()  # 1e-20 reads 9.99...e-21
+
+
+def _whole_document_json(fh, spec, quad_order, grid):
+    """The JSON writer as it was, one json.dump of the whole document."""
+    doc = {
+        "format": f"cylwigner-grid v{__version__}",
+        "state": serialize_state_spec(spec),
+        "quad_order": quad_order,
+        "r_nodes": [_fmt(v) for v in grid.r_nodes],
+        "phi_nodes": [_fmt(v) for v in grid.phi_nodes],
+        "ell_values": [int(v) for v in grid.ell_values],
+        "values": [[[_fmt(v) for v in row] for row in plane] for plane in grid.values],
+    }
+    json.dump(doc, fh, indent=1, sort_keys=True)
+    fh.write("\n")
+
+
+@pytest.mark.parametrize("text", ["superposition l1=3 l2=-3 phi0=0.4 Nmax=9",
+                                  "raw c[0,0]=0.6 c[1,2]=0.8j"])
+@pytest.mark.parametrize("axes", [
+    ([0.7], [0.0], [0]),
+    ([0.7], [0.0], [-2]),
+    ([1.3], [0.0], [3]),
+    ([0.4, 1.1, 2.0], [0.0], range(-2, 3)),
+    ([0.9], [0.0, 1e-20, 2.5], [-1]),
+    ([1e-5, 0.6], [0.0, 3.0], [1]),
+    ([0.5, 1.7], [0.0, 1.0, 4.0], range(-3, 2)),
+])
+def test_json_writer_matches_a_whole_document_dump(text, axes):
+    spec = parse_state_spec(text)
+    state = build_state(spec)
+    order = default_rule(state).order
+    grid = wigner_cyl_grid(state, *axes)
+    got, want = io.StringIO(), io.StringIO()
+    write_grid_json(got, spec, order, grid)
+    _whole_document_json(want, spec, order, grid)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("writer", [write_grid_csv, write_grid_json])
+def test_writers_hold_one_plane_of_values(writer, tmp_path):
+    # planes of the 100 x 100 x 99 export's size; a writer that builds the whole
+    # document first peaks at several MiB on ten of them
+    spec = parse_state_spec("superposition l1=3 l2=-3 phi0=0 Nmax=9")
+    state = build_state(spec)
+    grid = wigner_cyl_grid(state, np.linspace(0.05, 6.0, 10),
+                           np.linspace(0.0, 2.0 * pi, 100, endpoint=False), range(-49, 50))
+    with open(tmp_path / "grid", "w") as fh:
+        tracemalloc.start()
+        try:
+            writer(fh, spec, default_rule(state).order, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("state", [

@@ -194,6 +194,43 @@ def test_amplitude_terms_match_explicit_hermite_sums_per_offset(rng):
             assert np.allclose(bra_term, want_bra, rtol=1e-12, atol=0.0)
 
 
+def raw_table_of_59_quanta():
+    """20 random entries of at most 59 total quanta, from default_rng(11)."""
+    rng = np.random.default_rng(11)
+    cells = [(a, b) for a in range(60) for b in range(60 - a)]
+    c = np.zeros((60, 60), dtype=complex)
+    for k in rng.choice(len(cells), 20, replace=False):
+        c[cells[k]] = rng.normal() + 1j * rng.normal()
+    return TwoModeFock(c / np.linalg.norm(c))
+
+
+def psi_reference(mpmath, s, xi, phi, dps=60):
+    """Psi(xi, phi) at dps digits, from the explicit Hermite sums with exact coefficients."""
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(xi) * mpmath.expj(-mpmath.mpf(phi))
+        total = 0
+        for np_, nm in np.argwhere(s.coeffs).tolist():
+            h = hermite2_bruteforce(nm, np_, lam, mpmath.conj(lam))[0]
+            total += (mpmath.mpc(complex(s.coeffs[np_, nm])) * h
+                      / mpmath.sqrt(factorial(np_) * factorial(nm)))
+        return complex(mpmath.exp(-abs(lam) ** 2 / 2) * total)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_summed_oam(0, 40), lambda: make_summed_oam(0, 60),
+    lambda: make_superposition(5, -4, 0.7, 50), raw_table_of_59_quanta,
+], ids=["summed-40", "summed-60", "superposition-50", "raw-59"])
+def test_psi_on_the_real_axis_matches_mpmath(make):
+    # u = |xi|^2 is real there, where a Horner pass of the monomial form cancels: 3.6e-9
+    # relative at 40 quanta and 1.2e-4 at 60
+    mpmath = pytest.importorskip("mpmath")
+    s = make()
+    for xi in (0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0):
+        want = psi_reference(mpmath, s, xi, 0.3)
+        got = psi_entangled(s, EntangledArg(xi, 0.3))
+        assert abs(got - want) <= 1e-13 * abs(want), (xi, got, want)
+
+
 def test_amplitude_table_layout():
     s = TwoModeFock(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]]))
     # c[0,1] has OAM -1 (offset 1, degree 0); c[2,2] has OAM 0 (offset 0, degree 2)
