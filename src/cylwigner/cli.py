@@ -1,7 +1,8 @@
 """Command-line surface: the W(r, phi, ell) grid export and the oracle check.
 
-Exit codes: 0 success, 2 spec parse error, 3 precondition violation,
-4 numerical-contract failure (a tolerance, or a state past MAX_TOTAL_ORDER).
+Exit codes: 0 success, 2 spec parse error, 3 precondition violation (an OSError
+too: the only files the CLI opens are its outputs), 4 numerical-contract failure (a
+tolerance, or a state past MAX_TOTAL_ORDER).
 Output is byte-deterministic for fixed inputs.
 """
 
@@ -193,7 +194,7 @@ def main(argv=None):
     except SpecParseError as e:
         print(_error_record(EXIT_PARSE, e), file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(_error_record(EXIT_PRECONDITION, e), file=sys.stderr)
         return EXIT_PRECONDITION
     except CylWignerError as e:

@@ -113,12 +113,23 @@ def hermite2(m, n, lam):
     return hermite2_general(m, n, lam, np.conjugate(lam))
 
 
+def laguerre_steps(rows, a, b):
+    """The upward three-term recurrence L_k = (a_k L_(k-1) - b_k L_(k-2)) / k in place:
+    rows[k + 1] holds L_k, so rows[0] (L_-1 = 0) and rows[1] (L_0 = 1) start it.
+    a_k = 2k - 1 + alpha - x and b_k = k - 1 + alpha are a[k - 1] and b[k - 1].  Any table
+    with its degree axis first will do: laguerre_table's, or the 4D oracle's, whose
+    x-free step terms come from its per-dim plan."""
+    for k, a_k, b_k in zip(range(1, len(rows) - 1), a, b):
+        np.divide(a_k * rows[k] - b_k * rows[k - 1], k, out=rows[k + 1, ...])
+
+
 def laguerre_table(p, alpha, x):
     """Generalized Laguerre polynomials L_n^alpha(x) for every degree n = 0..p.
 
-    One upward three-term recurrence in n over broadcast arrays of alpha and
-    x, returned with a leading degree axis: float for a real x, complex for
-    a complex one.  It is backward stable on the non-negative real axis.
+    One upward three-term recurrence in n (:func:`laguerre_steps`, which the 4D
+    oracle shares) over broadcast arrays of alpha and x, returned with a leading
+    degree axis: float for a real x, complex for a complex one.  It is backward
+    stable on the non-negative real axis.
     """
     alpha = np.asarray(alpha)
     if p < 0 or (alpha < 0).any():
@@ -131,8 +142,7 @@ def laguerre_table(p, alpha, x):
     column = (p,) + (1,) * (table.ndim - 1)
     a = np.arange(1, 2 * p, 2).reshape(column) + alpha - x
     b = np.add(np.arange(p).reshape(column), alpha, out=np.empty(a.shape))
-    for k, a_k, b_k in zip(range(1, p + 1), a, b):
-        np.divide(a_k * table[k] - b_k * table[k - 1], k, out=table[k + 1, ...])
+    laguerre_steps(table, a, b)
     return table[1:]
 
 

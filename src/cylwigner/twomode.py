@@ -13,6 +13,11 @@ state expands its entangled-basis amplitude once (``amplitude_table``), as
 Laguerre series for the radial marginal and in monomial form for the
 cylindrical kernel, from one pass, and the 4D oracle reads its parity
 tables (``parity_tables``).  States and points compare and hash by identity.
+
+The oracle's displaced-Fock matrices are gathered from two tables per call,
+powers and Laguerre values, by one read-only plan per dim (``_dim_constants``);
+the Laguerre step loop is ``specfun.laguerre_steps``, which ``laguerre_table``
+runs too.
 """
 
 import warnings
@@ -23,7 +28,7 @@ from math import comb, exp, factorial, lgamma, pi, sqrt
 import numpy as np
 
 from .errors import QuadratureResidueError, TruncationWarning
-from .specfun import check_order_bound, laguerre_diagonals, laguerre_table
+from .specfun import check_order_bound, laguerre_diagonals, laguerre_steps
 
 _NORM_TOL = 1e-10
 
@@ -200,17 +205,23 @@ def mode_rotate_xy_to_pm(coeffs_xy):
 
 @lru_cache(maxsize=128)
 def _dim_constants(dim):
-    """Read-only arrays of dim alone: k, min(m, n), |m - n|, sqrt(min! / max!) signed
-    (-1)^(n - m) for m < n, from exact integers (an lgamma form is 2.2e-15 off at dim 21),
-    and the index of each element's power in displaced_fock_matrix."""
+    """The per-dim plan of displaced_fock_matrix, read-only and built once per dim:
+    ratio = sqrt(min! / max!) signed (-1)^(n - m) for m < n, from exact integers (an lgamma
+    form is 2.2e-15 off at dim 21); the flat index of each (m, n) element's power in
+    [alpha^k, conj(alpha)^k]; the flat index of its Laguerre value L_min(m,n)^|m-n| in a
+    (degree + 1, order) table whose row 0 is L_-1; and the recurrence's x-free step terms
+    2k - 1 + order and k - 1 + order, one row per step k = 1..dim - 1."""
     k = np.arange(dim)
-    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    order = np.abs(np.subtract.outer(k, k))
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
               for n in range(dim)] for m in range(dim)]
-    consts = (k, lo, hi - lo, np.array(ratio), hi - lo + dim * np.less.outer(k, k))
-    for a in consts:
+    step = k[1:, None]
+    plan = (np.array(ratio), order + dim * np.less.outer(k, k),
+            (np.minimum.outer(k, k) + 1) * dim + order,
+            (2.0 * step - 1 + k)[:, None], step - 1.0 + k)
+    for a in plan:
         a.setflags(write=False)
-    return consts
+    return plan
 
 
 def displaced_fock_matrix(alpha, dim):
@@ -219,20 +230,38 @@ def displaced_fock_matrix(alpha, dim):
     Closed form in associated Laguerre polynomials (Cahill & Glauber 1969),
     exact up to roundoff.  An array of alpha gives matrices of shape
     alpha.shape + (dim, dim), each computed as for that alpha alone; -conj(alpha)
-    gives the transpose of alpha's matrix, bit for bit.
+    gives the transpose of alpha's matrix, bit for bit.  The per-dim plan
+    (_dim_constants) gathers every element from two tables: the powers
+    exp(-|alpha|^2 / 2) alpha^k, by a running product, and every L_n^order(|alpha|^2),
+    n, order < dim, from specfun's recurrence.  The whole (degree, order) square is
+    filled, not only the triangle degree + order < dim that is read: at these sizes a
+    step costs per numpy call, not per element, and a trimmed one measured slower.
     """
-    k, lo, order, ratio, gather = _dim_constants(dim)
-    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    ratio, power_index, laguerre_index = _dim_constants(dim)[:3]
+    alpha = np.asarray(alpha, dtype=complex)
     aa = alpha.real ** 2 + alpha.imag ** 2
     # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m), its sign in ratio;
-    # the envelope exp(-|alpha|^2 / 2) goes on the row of powers, before the gather
-    powers = alpha ** k
-    powers *= np.exp(aa * -0.5)
-    d = ratio * np.concatenate([powers, powers.conj()], axis=-1)[..., gather]
-    # the table is (degree, batch..., order): a transposed view gathers as (batch, m, n)
-    lag = laguerre_table(dim - 1, k, aa).reshape(dim, -1, dim).transpose(1, 0, 2)
-    d *= lag[:, lo, order].reshape(d.shape)
+    # the envelope exp(-|alpha|^2 / 2) seeds the running product of powers
+    powers = np.empty(alpha.shape + (2 * dim,), dtype=complex)
+    powers[..., 0] = np.exp(aa * -0.5)
+    powers[..., 1:dim] = alpha[..., None]
+    np.multiply.accumulate(powers[..., :dim], axis=-1, out=powers[..., :dim])
+    np.conjugate(powers[..., :dim], out=powers[..., dim:])
+    d = powers.take(power_index, axis=-1)
+    d *= ratio * _laguerre_square(aa, dim).take(laguerre_index, axis=-1)
     return d
+
+
+def _laguerre_square(aa, dim):
+    """L_n^order(aa), n, order < dim, as a flat (degree + 1, order) table per value whose
+    first row is L_-1 = 0.  The recurrence fills a (degree + 1, value, order) table, which
+    one transposed copy reorders."""
+    step_a, step_b = _dim_constants(dim)[3:]
+    a = step_a - aa.reshape(-1, 1)
+    lag = np.empty((dim + 1,) + a.shape[1:])
+    lag[0], lag[1] = 0.0, 1.0
+    laguerre_steps(lag, a, step_b)
+    return lag.transpose(1, 0, 2).reshape(aa.shape + (-1,))
 
 
 def wigner_4d(s, at):
@@ -267,7 +296,8 @@ def _wigner_4d(s, alpha):
     w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.
     """
     bra, ket = s.parity_tables
-    # far out, alpha^k overflows while exp(-|alpha|^2 / 2) underflows: a nan, refused below
+    # far out, the Laguerre values overflow while exp(-|alpha|^2 / 2) underflows: a nan,
+    # refused below
     with np.errstate(over="ignore", invalid="ignore"):
         d = displaced_fock_matrix(alpha, bra.shape[0])
         val = (bra * (d[0] @ ket @ d[1])).sum(axis=(-2, -1)) / pi ** 2

@@ -109,6 +109,22 @@ def test_non_finite_r_bound_exit_3(bound):
     assert record["message"] == f"{bound[0][2:].replace('-', '_')} must be finite"
 
 
+@pytest.mark.parametrize("out, error", [("missing/x.csv", "FileNotFoundError"),
+                                        (".", "IsADirectoryError")])
+def test_unwritable_out_exit_3(tmp_path, out, error):
+    # a subprocess, so that a traceback would reach stderr as it does for users
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cylwigner.cli", "wigner-cyl", "--state", VACUUM, "--nr", "1",
+         "--nphi", "1", "--lmax", "0", "--out", str(tmp_path / out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 3 and done.stdout == ""
+    line, = done.stderr.splitlines()  # one JSON record, no traceback
+    record = json.loads(line)
+    assert record["exit"] == 3 and record["error"] == error
+    assert str(tmp_path) in record["message"]
+
+
 @pytest.mark.parametrize("axes", [
     ["--nr", "1", "--nphi", "1000000000000"],
     ["--nr", "1", "--nphi", "1", "--lmax", "100000000000"],

@@ -386,7 +386,7 @@ def test_oracle_matches_the_reference_at_30_to_40_quanta():
         s = make_summed_oam(0, probe["Nmax"])
         pt = CylPoint(probe["r"], probe["phi"], probe["ell"])
         got = KAPPA * oracle_cyl_from_cartesian(s, pt, gauss_hermite(s.max_total_quanta + 8))
-        assert got == pytest.approx(float(probe["value"]), rel=1e-9, abs=0)
+        assert got == pytest.approx(float(probe["value"]), rel=1e-12, abs=0)
 
 
 def test_oracle_does_not_warn_at_far_nodes():

@@ -10,6 +10,7 @@ from cylwigner import (CartesianPoint4, TwoModeFock, expectation_N_L,
                        mode_rotate_xy_to_pm, rotate_state, wigner_4d)
 from cylwigner import twomode
 from cylwigner.errors import QuadratureResidueError, TruncationWarning
+from cylwigner.specfun import laguerre_table
 from cylwigner.twomode import displaced_fock_matrix
 
 
@@ -160,6 +161,30 @@ def test_displaced_fock_matrix_batch_against_expm():
     for alpha, d in zip(alphas, got):
         exact = expm(alpha * a.conj().T - np.conj(alpha) * a)[:6, :6]
         assert np.allclose(d, exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 21])
+def test_displaced_fock_matrix_at_the_plan_edges_against_expm(dim):
+    # dim 1 takes no recurrence step, dim 2 one, and 21 is the 40-quanta summed state's;
+    # |alpha| <= 3 spreads D|20> to about 60 quanta: the generator is cut well above that
+    big = 120
+    a = np.diag(np.sqrt(np.arange(1, big)), 1)
+    alphas = np.array([[0.0, 1.1j, -0.4 + 0.9j, 3.0], [0.6, -2.0 - 2.0j, 0.3j, -1.5]])
+    got = displaced_fock_matrix(alphas, dim)
+    assert got.shape == (2, 4, dim, dim)
+    for idx in np.ndindex(alphas.shape):
+        exact = expm(alphas[idx] * a.conj().T - np.conj(alphas[idx]) * a)[:dim, :dim]
+        assert np.allclose(got[idx], exact, atol=1e-12), alphas[idx]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 21])
+def test_oracle_laguerre_values_are_laguerre_table_bit_for_bit(rng, dim):
+    # one recurrence: the oracle's table of L_n^order(|alpha|^2) is laguerre_table's
+    for aa in (rng.uniform(0, 60, size=(2, 9)), np.float64(rng.uniform(0, 60))):
+        got = twomode._laguerre_square(aa, dim).reshape(aa.shape + (dim + 1, dim))
+        want = laguerre_table(dim - 1, np.arange(dim), aa[..., None])
+        assert not got[..., 0, :].any()  # L_-1
+        assert np.array_equal(got[..., 1:, :], np.moveaxis(want, 0, -2))
 
 
 def test_displaced_fock_matrix_batch_is_elementwise(rng):
