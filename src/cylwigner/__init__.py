@@ -10,8 +10,7 @@ integral of the 4D Cartesian Wigner function) used for validation.
 __version__ = "0.1.0"
 
 from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylGrid, CylPoint, default_rule,
-                          marginal_angle_oam, marginal_radial,
-                          oracle_cyl_from_cartesian, wigner_cyl, wigner_cyl_grid)
+                          marginal_angle_oam, marginal_radial, wigner_cyl, wigner_cyl_grid)
 from .entangled import (EntangledArg, laguerre_gauss_profile, psi_entangled,
                         xi_fock_overlap)
 from .quadrature import QuadKind, QuadratureRule, gauss_hermite, gauss_legendre_mapped
@@ -20,7 +19,7 @@ from .statespec import (StateKind, StateSpec, build_state, parse_state_spec,
                         serialize_state_spec)
 from .twomode import (CartesianPoint4, TwoModeFock, expectation_N_L,
                       make_N_l_eigenstate, make_summed_oam, make_superposition,
-                      mode_rotate_xy_to_pm, rotate_state, wigner_4d)
+                      mode_rotate_xy_to_pm, oracle_cyl_from_cartesian, rotate_state, wigner_4d)
 
 __all__ = [
     "__version__",

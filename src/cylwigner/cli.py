@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylPoint, default_rule,
-                          oracle_cyl_from_cartesian, wigner_cyl, wigner_cyl_grid)
+from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylPoint, default_rule, wigner_cyl,
+                          wigner_cyl_grid)
 from .errors import CylWignerError, SpecParseError
 from .statespec import build_state, parse_state_spec, serialize_state_spec
+from .twomode import oracle_cyl_from_cartesian
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -32,28 +32,28 @@ bra terms of equal offset d.  So
 with r_k = k h, u_k = r^2 + r_k^2, xi_k = r + i r_k (conj(xi_k)^(-2d) for
 d < 0, the diagonal power rule) and h = pi r, or an integer multiple of it
 at small r where the kernel's underflow test zeroes every ring that spacing
-aliases.  There u is real and non-negative, so each p_d is summed as a
-Laguerre series by the stable upward recurrence, not in the monomial form
-that cancels: against 60-digit all-ell sums the result is within 8.3e-16
-relative at 20 and 40 quanta, where the rings of the shifted sum were
-within 3.1e-10 and 7.2e-2.
+aliases.  There u is real and non-negative, so each p_d is the Laguerre
+series of ``entangled.amplitude_series``, summed by the stable upward
+recurrence, not the monomial form that cancels: against 60-digit all-ell
+sums the result is within 8.3e-16 relative at 20 and 40 quanta, where the
+rings of the shifted sum were within 3.1e-10 and 7.2e-2.
 
-An independent brute-force check integrates the 4D Cartesian Wigner
-function over the radial momentum along the ray (r, phi); the two routes
-agree up to one global constant (empirically 4 pi^2, see KAPPA).
+The brute-force check ``twomode.oracle_cyl_from_cartesian``, re-exported here,
+integrates the 4D Cartesian Wigner function over p_r along the ray (r, phi); the
+two routes agree up to one global constant (empirically 4 pi^2, see KAPPA).
 """
 
 import warnings
 from dataclasses import dataclass
-from math import cos, floor, hypot, isfinite, pi, sin, sqrt
+from math import floor, hypot, isfinite, pi, sqrt
 
 import numpy as np
 
-from .entangled import amplitude_terms, wrap_phi
+from .entangled import amplitude_series, amplitude_terms, wrap_phi
 from .errors import ConvergenceError, QuadratureResidueError, TruncationWarning
-from .quadrature import QuadKind, deweighted, gauss_hermite
-from .specfun import diagonal_power, laguerre_table
-from .twomode import _wigner_4d
+from .quadrature import QuadKind, gauss_hermite
+from .specfun import diagonal_power
+from .twomode import oracle_cyl_from_cartesian  # noqa: F401 - re-exported
 
 #: Ratio wigner_cyl / oracle_cyl_from_cartesian.  The literal factor 4 in
 #: the transform is kept as-is (no global normalization is imposed), and
@@ -185,8 +185,6 @@ def _evaluate(s, r, ell, phi):
     # rows in blocks and a long phi axis in slices: no temporary grows with the grid
     width = max(1, _BLOCK // rule.order)
     step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
-    if r.size <= step and phi.size <= width and alive.all():  # one block of live rows
-        return np.broadcast_to(_sum_rows(s, r, shift, expo, phi, rule), (r.size, phi.size))
     live = np.flatnonzero(alive)
     out = np.zeros((r.size, phi.size))
     for lo in range(0, live.size, step):
@@ -215,10 +213,10 @@ def _sum_rows(s, r, shift, expo, phi, rule):
     prod = ket[..., ::-1].conj() * ket
     envelope = 4.0 * np.exp(-expo)[:, None]
     val = envelope * np.add.reduce(rule.weights * prod, -1)
-    scale = np.maximum(np.abs(val), envelope * np.add.reduce(rule.weights * np.abs(prod), -1))
-    if (np.abs(val.imag) > 1e-9 * np.maximum(scale, 1e-300)).any():
+    scale = envelope * np.add.reduce(rule.weights * np.abs(prod), -1)
+    if not (np.isfinite(val) & (np.abs(val.imag) <= 1e-9 * np.maximum(scale, 1e-300))).all():
         raise QuadratureResidueError(
-            "imaginary residue of the cylindrical Wigner sum exceeds tolerance"
+            "the cylindrical Wigner sum is not finite or its imaginary residue exceeds tolerance"
         )
     return val.real
 
@@ -305,9 +303,7 @@ def _radial_sum(s, r, h):
         return 0.0
     rp = h * np.arange(-np.ceil(x / h), np.ceil(x / h) + 1)
     u = r * r + rp * rp
-    offsets, series, _ = s.amplitude_table
-    p = np.sum(series[:, :, None] * laguerre_table(len(series) - 1, np.abs(offsets)[:, None], u),
-               axis=0)
+    offsets, p = amplitude_series(s, u)
     # ket_d bra_d = diagonal_power(2 d, xi, conj(xi)) |p_d(u)|^2, with xi = r + i r'
     lam = r + 1j * rp
     terms = 0.0
@@ -348,34 +344,3 @@ def marginal_radial(s, r, ell_max=None):
         raise ValueError("r must be strictly positive")
     r = float(r)
     return _radial_sum(s, r, _radial_spacing(s, r))
-
-
-def oracle_cyl_from_cartesian(s, at, pr_rule):
-    """Brute-force route: integrate the 4D Cartesian Wigner over p_r.
-
-    Maps (r, phi, ell, p_r) to Cartesian coordinates by the canonical
-    (unit-Jacobian) transformation and integrates with a de-weighted
-    Gauss-Hermite rule, which is exact here because the 4D Wigner function
-    of a truncated state is a polynomial under a Gaussian in p_r.  All the
-    nodes go to one batched 4D evaluation.  The ratio wigner_cyl / oracle
-    is the single global constant KAPPA.
-    """
-    weights = deweighted(pr_rule)  # refuses a rule other than Gauss-Hermite
-    r, phi = at.r, at.phi
-    lam = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
-    if not isfinite(lam):  # refused before lam * sin(phi) makes a nan
-        raise ValueError("phase-space coordinates must be finite")
-    # at x = r cos(phi), y = r sin(phi), p_x = t cos(phi) - lam sin(phi) and
-    # p_y = t sin(phi) + lam cos(phi): w = p_y + i p_x = i e^{-i phi} t + lam e^{-i phi}
-    # and z = x - i y = r e^{-i phi}, each part rounded as wigner_4d rounds it
-    c, sn = cos(phi), sin(phi)
-    rot = complex(c, -sn)
-    w = complex(sn, c) * pr_rule.nodes + lam * rot
-    alpha = w + np.array([[r * rot], [-r * rot]])
-    # no far-displacement warning: the overlap is exact for the truncated table, and the
-    # warning, aimed at users approximating untruncated states, would fire at far nodes
-    vals = _wigner_4d(s, alpha)
-    total = 0.0
-    for term in (weights * vals).tolist():  # node order, left to right
-        total += term
-    return float(total)

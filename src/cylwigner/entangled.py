@@ -11,9 +11,10 @@ A state's amplitude is read from its one cached diagonal table
 (:func:`specfun.diagonal_power`).  On the cylindrical contour it is one Horner pass
 of the monomial form in u = lam lam_bar, for every OAM value at once, in place; the
 bra side, the conjugate ket at conjugated arguments, is the ket at the mirrored node.
-:func:`psi_entangled`, at the real u = |xi|^2, sums the Laguerre series instead, where
-the monomial form cancels.  A single Fock overlap (:func:`xi_fock_overlap`) evaluates
-one Hermite polynomial through the same Laguerre reduction (:func:`specfun.hermite2`).
+At a real u >= 0, where the monomial form cancels, :func:`amplitude_series` sums the
+Laguerre series instead, for psi_entangled and the radial marginal.  A single Fock
+overlap (:func:`xi_fock_overlap`) evaluates one Hermite polynomial through the same
+Laguerre reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass
@@ -92,16 +93,21 @@ def amplitude_polynomial(s, lam, lam_bar):
     return np.sum(amplitude_terms(s, lam, lam_bar)[1], axis=0)
 
 
-def psi_entangled(s, at):
-    """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>.
+def amplitude_series(s, u):
+    """``(offsets, p)``, p[i] = p_d(u) for d = offsets[i] on the shape of a real u >= 0,
+    each summed from the table's Laguerre series (see the module docstring)."""
+    offsets, series, _ = s.amplitude_table
+    lead = (1,) * np.ndim(u)
+    p = np.sum(series.reshape(series.shape + lead) * laguerre_table(
+        len(series) - 1, np.abs(offsets).reshape((-1,) + lead), u), axis=0)
+    return offsets, p
 
-    u = |xi|^2 is real, so each p_d is summed from the table's Laguerre series, as the
-    radial marginal sums it: the monomial form cancels there (9 digits at 40 quanta).
-    """
+
+def psi_entangled(s, at):
+    """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>."""
     z = at.xi * np.exp(-1j * at.phi)
     u = abs(at.xi) ** 2
-    offsets, series, _ = s.amplitude_table
-    p = np.sum(series * laguerre_table(len(series) - 1, np.abs(offsets), u), axis=0)
+    offsets, p = amplitude_series(s, u)
     return complex(np.exp(-u / 2.0) * sum(diagonal_power(d, z, np.conj(z)) * p_d
                                           for d, p_d in zip(offsets.tolist(), p)))
 

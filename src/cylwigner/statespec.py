@@ -124,6 +124,8 @@ def _raw_spec(entries):
             raise SpecParseError(f"bad raw coefficient indices {i!r}, {j!r}", column=col)
         if not cmath.isfinite(c):
             raise SpecParseError(f"raw coefficient c[{i},{j}] is not finite", column=col)
+        if (i, j) in coeffs:  # c[0,0] and c[00,0] are one entry
+            raise SpecParseError(f"raw coefficient c[{i},{j}] is given twice", column=col)
         coeffs[(i, j)] = c
     if not coeffs:
         raise SpecParseError("raw spec needs at least one coefficient")
@@ -207,9 +209,12 @@ def _parse_json(text):
     for item in items:
         try:
             i, j, val = item
-            c = complex(*val) if isinstance(val, list) else complex(val)
+            parts = val if isinstance(val, list) else [val]
+            c = complex(*parts)
         except (TypeError, ValueError):
             raise SpecParseError(f"bad raw coefficient entry {item!r}") from None
+        if any(isinstance(v, bool) for v in parts):  # refused, not read as 1 or 0
+            raise SpecParseError(f"bad raw coefficient entry {item!r}")
         entries.append((i, j, c, 1))
     return _raw_spec(entries)
 

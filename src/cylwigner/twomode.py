@@ -1,4 +1,4 @@
-"""Two-mode Fock states in the chirality basis, and the 4D Wigner oracle.
+"""Two-mode Fock states in the chirality basis, the 4D Wigner function, and the oracle.
 
 States are stored as coefficient tables over (n_plus, n_minus), the photon
 numbers of the circular (chirality) mode pair in which both the total
@@ -14,20 +14,22 @@ Laguerre series for the radial marginal and in monomial form for the
 cylindrical kernel, from one pass, and the 4D oracle reads its parity
 tables (``parity_tables``).  States and points compare and hash by identity.
 
-The oracle's displaced-Fock matrices are gathered from two tables per call,
-powers and Laguerre values, by one read-only plan per dim (``_dim_constants``);
-the Laguerre step loop is ``specfun.laguerre_steps``, which ``laguerre_table``
-runs too.
+The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell),
+integrates the 4D function over p_r along a ray; the displacements are laid out in
+``_wigner_4d`` alone.  Its displaced-Fock matrices are gathered from two tables per
+call, powers and Laguerre values, by one read-only plan per dim (``_dim_constants``);
+the Laguerre step loop is ``specfun.laguerre_steps``, which ``laguerre_table`` runs too.
 """
 
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, exp, factorial, lgamma, pi, sqrt
+from math import comb, cos, exp, factorial, isfinite, lgamma, pi, sin, sqrt
 
 import numpy as np
 
 from .errors import QuadratureResidueError, TruncationWarning
+from .quadrature import deweighted
 from .specfun import check_order_bound, laguerre_diagonals, laguerre_steps
 
 _NORM_TOL = 1e-10
@@ -140,7 +142,11 @@ def make_summed_oam(l0, Nmax):
 
 
 def make_superposition(l1, l2, phi0, Nmax):
-    """Equal-weight superposition of two summed-OAM states with relative phase."""
+    """Equal-weight superposition of two summed-OAM states with relative phase.
+
+    l1 != l2, so the branches share no entry and their sum has norm sqrt(2)."""
+    if l1 == l2:  # a state added to itself: phi0 = pi would cancel it to rounding noise
+        raise ValueError(f"l1 and l2 must differ, got {l1} for both")
     # the larger |l| first: its range check covers both, so it runs before any bound check
     parts = {l: make_summed_oam(l, Nmax) for l in sorted((l1, l2), key=abs, reverse=True)}
     a, b = parts[l1], parts[l2]
@@ -284,14 +290,12 @@ def wigner_4d(s, at):
             "displacement amplitude^2 exceeds cutoff/2; the truncated table "
             "is a poor stand-in for any untruncated state this far out",
             TruncationWarning, stacklevel=2)
-    w = at.p_y + 1j * np.asarray(at.p_x)
-    z = at.x - 1j * np.asarray(at.y)
-    return _wigner_4d(s, np.array([w + z, w - z]))
+    return _wigner_4d(s, at.p_y + 1j * np.asarray(at.p_x), at.x - 1j * np.asarray(at.y))
 
 
-def _wigner_4d(s, alpha):
-    """wigner_4d at alpha = (w + z, w - z), w = p_y + i p_x and z = x - i y, stacked on a
-    leading axis of 2: coordinates its caller checked, without the far-displacement warning.
+def _wigner_4d(s, w, z):
+    """wigner_4d at w = p_y + i p_x and z = x - i y, arrays that broadcast together:
+    coordinates its caller checked, without the far-displacement warning.
 
     w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.
     """
@@ -299,10 +303,39 @@ def _wigner_4d(s, alpha):
     # far out, the Laguerre values overflow while exp(-|alpha|^2 / 2) underflows: a nan,
     # refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        d = displaced_fock_matrix(alpha, bra.shape[0])
+        d = displaced_fock_matrix(np.array([w + z, w - z]), bra.shape[0])
         val = (bra * (d[0] @ ket @ d[1])).sum(axis=(-2, -1)) / pi ** 2
     real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(np.abs(val), 1e-300))
     if not real.all():
         raise QuadratureResidueError(
             "4D Wigner value is not finite or has a non-negligible imaginary part")
     return float(val.real) if val.ndim == 0 else val.real
+
+
+def oracle_cyl_from_cartesian(s, at, pr_rule):
+    """Brute-force route: integrate the 4D Cartesian Wigner over p_r at a CylPoint.
+
+    Maps (r, phi, ell, p_r) to Cartesian coordinates by the canonical
+    (unit-Jacobian) transformation and integrates with a de-weighted
+    Gauss-Hermite rule, which is exact here because the 4D Wigner function
+    of a truncated state is a polynomial under a Gaussian in p_r.  All the
+    nodes go to one batched 4D evaluation.  The ratio wigner_cyl / oracle
+    is the single global constant cylindrical.KAPPA.
+    """
+    weights = deweighted(pr_rule)  # refuses a rule other than Gauss-Hermite
+    r, phi = at.r, at.phi
+    lam = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
+    if not isfinite(lam):  # refused before lam * sin(phi) makes a nan
+        raise ValueError("phase-space coordinates must be finite")
+    # at x = r cos(phi), y = r sin(phi), p_x = t cos(phi) - lam sin(phi) and
+    # p_y = t sin(phi) + lam cos(phi): w = p_y + i p_x = i e^{-i phi} t + lam e^{-i phi}
+    # and z = x - i y = r e^{-i phi}
+    c, sn = cos(phi), sin(phi)
+    rot = complex(c, -sn)
+    # no far-displacement warning: the overlap is exact for the truncated table, and the
+    # warning, aimed at users approximating untruncated states, would fire at far nodes
+    vals = _wigner_4d(s, complex(sn, c) * pr_rule.nodes + lam * rot, r * rot)
+    total = 0.0
+    for term in (weights * vals).tolist():  # node order, left to right
+        total += term
+    return float(total)

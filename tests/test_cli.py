@@ -85,6 +85,13 @@ def test_precondition_exit_3_parity(capsys):
     assert "parity" in json.loads(err)["message"]
 
 
+def test_precondition_exit_3_equal_superposition_branches(capsys):
+    code, out, err = run(capsys, ["oracle-check", "--state",
+                                  "superposition l1=3 l2=3 phi0=3.141592653589793 Nmax=9"])
+    assert code == 3 and out == ""
+    assert "differ" in json.loads(err)["message"]
+
+
 def test_precondition_exit_3_grid(capsys):
     code, _, err = run(capsys, [
         "wigner-cyl", "--state", VACUUM, "--r-min", "0", "--r-max", "2",

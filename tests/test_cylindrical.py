@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cylwigner import (KAPPA, CartesianPoint4, CylGrid, CylPoint, TwoModeFock, cylindrical,
-                       gauss_hermite, gauss_legendre_mapped, make_N_l_eigenstate,
+                       entangled, gauss_hermite, gauss_legendre_mapped, make_N_l_eigenstate,
                        make_summed_oam, make_superposition, marginal_angle_oam,
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
@@ -320,14 +320,33 @@ def test_kernel_realness_check(monkeypatch):
                     wigner_cyl(s, CylPoint(r, 0.7, ell))
 
 
+def test_kernel_refuses_a_nan_sum(monkeypatch):
+    # a nan in the polynomial part is refused by the kernel's residue test, not returned
+    exact = cylindrical.amplitude_terms
+
+    def poisoned(s, lam, lam_bar):
+        offsets, terms = exact(s, lam, lam_bar)
+        terms[..., 0] = np.nan  # the first node of every row
+        return offsets, terms
+
+    monkeypatch.setattr(cylindrical, "amplitude_terms", poisoned)
+    for s in (make_summed_oam(2, 6), make_superposition(3, -3, 0.4, 9)):
+        with pytest.raises(QuadratureResidueError):
+            wigner_cyl(s, CylPoint(1.0, 0.7, 1))
+        with pytest.raises(QuadratureResidueError):
+            wigner_cyl_grid(s, [0.5, 1.0], [0.0, 1.0], [0, 1])
+        with pytest.raises(QuadratureResidueError):
+            marginal_angle_oam(s, 0.7, 1, gauss_legendre_mapped(16, 1e-3, 8.0))
+
+
 def test_marginal_radial_realness_check(monkeypatch):
     s = make_summed_oam(2, 6)  # one offset: no conjugate offset to pair a sample's phase
-    exact = cylindrical.laguerre_table
+    exact = entangled.laguerre_table
 
     def lopsided(p, alpha, u):  # breaks the conjugate symmetry of the samples +-r'
         return exact(p, alpha, u) * (1.0 + 0.1 * (np.arange(u.size) > u.size // 2))
 
-    monkeypatch.setattr(cylindrical, "laguerre_table", lopsided)
+    monkeypatch.setattr(entangled, "laguerre_table", lopsided)
     with pytest.raises(QuadratureResidueError):
         marginal_radial(s, 1.0)
 

@@ -182,6 +182,10 @@ def test_order_bound_is_on_total_quanta():
     '{"kind": "eigenstate", "N": 2, "l0": 0, "M": 1}',     # unknown key
     "raw c[0,0]=nan c[1,1]=1",                             # non-finite coefficient
     "superposition l1=3 l2=-3 phi0=nan Nmax=9",            # non-finite parameter
+    "raw c[0,0]=0.6 c[00,0]=0.8",                          # one entry given twice
+    '{"kind": "raw", "coeffs": [[0, 0, 0.6], [0, 0, 0.8]]}',  # one entry given twice
+    '{"kind": "raw", "coeffs": [[0, 0, true]]}',           # boolean coefficient
+    '{"kind": "raw", "coeffs": [[0, 0, [true, false]]]}',  # boolean parts
     pytest.param('{"kind": "raw", "coeffs": ' + "[" * 100000 + "]" * 100000 + "}",
                  id="json-nesting-too-deep"),
     pytest.param('{"kind": "eigenstate", "N": ' + "1" * 5000 + ', "l0": 0}',

@@ -78,6 +78,14 @@ def test_superposition_structure():
     assert np.angle(support[(0, 3)] / support[(3, 0)]) == pytest.approx(0.25)
 
 
+def test_superposition_refuses_equal_oam_values():
+    # phi0 = pi would cancel the sum to a rounding residue, renormalized to noise;
+    # refused before anything is built: past the order bound it is still a ValueError
+    for l, phi0, Nmax in ((3, pi, 9), (3, 0.0, 9), (100, 0.0, 200)):
+        with pytest.raises(ValueError, match="differ"):
+            make_superposition(l, l, phi0, Nmax)
+
+
 def test_rotate_state_phases(rng):
     s = random_state(rng, cutoff=2)
     phi0 = 0.8
