@@ -19,7 +19,9 @@ phase per OAM value.  So W is a trigonometric polynomial in phi, and the
 kernel evaluates the table once per (r, ell, node) for a whole phi axis.
 A state is normalized and within MAX_TOTAL_ORDER by construction
 (``TwoModeFock``), and its rule is ``default_rule``, so the kernel checks
-only its points.
+only its points.  A sum that is not finite, or not real to 1e-9 of its terms,
+is refused (QuadratureResidueError) at a point, on a grid and in the angle-OAM
+marginal alike, with numpy's floating-point warnings off around the row sum.
 
 The radial marginal P(r) = sum_ell Int W dphi needs no rings.  Poisson
 summation, sum_ell exp(2i ell r'/r) = pi r sum_k delta(r' - k pi r), turns
@@ -34,9 +36,11 @@ d < 0, the diagonal power rule) and h = pi r, or an integer multiple of it
 at small r where the kernel's underflow test zeroes every ring that spacing
 aliases.  There u is real and non-negative, so each p_d is the Laguerre
 series of ``entangled.amplitude_series``, summed by the stable upward
-recurrence, not the monomial form that cancels: against 60-digit all-ell
-sums the result is within 8.3e-16 relative at 20 and 40 quanta, where the
-rings of the shifted sum were within 3.1e-10 and 7.2e-2.
+recurrence from the state's plan, not the monomial form that cancels: against
+60-digit all-ell sums the result is within 8.3e-16 relative at 20 and 40 quanta,
+where the rings of the shifted sum were within 3.1e-10 and 7.2e-2.  Both
+marginals take one value per call (one phi and ell, or one r) and refuse an
+array (ValueError).
 
 The brute-force check ``twomode.oracle_cyl_from_cartesian``, re-exported here,
 integrates the 4D Cartesian Wigner function over p_r along the ray (r, phi); the
@@ -45,7 +49,9 @@ two routes agree up to one global constant (empirically 4 pi^2, see KAPPA).
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from math import floor, hypot, isfinite, pi, sqrt
+from operator import add
 
 import numpy as np
 
@@ -108,6 +114,12 @@ def _integer_ell(ell):
     if not fits:
         raise too_wide
     return ell
+
+
+def _one_value(x):
+    """True for one value: a number, a numpy scalar or a 0-d array.  A Python number
+    passes on isinstance alone; np.ndim converts it to an array first."""
+    return isinstance(x, (int, float)) or np.ndim(x) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,22 +188,23 @@ def _evaluate(s, r, ell, phi):
     rule = default_rule(s)
 
     # where the envelope underflows, bail out before the polynomial part overflows;
-    # at a subnormal r the exponent is inf and inf - bound may be nan: both bail out
+    # at a subnormal r the exponent is inf and inf - bound may be nan: both bail out.
+    # A sum that is still not finite is refused by _sum_rows's residue test.
     with np.errstate(over="ignore", invalid="ignore"):
         shift = ell / r
         expo = r * r + shift * shift
         reach = r + np.abs(shift) + rule.nodes[-1]
         alive = _alive(expo, s.max_total_quanta, reach)
-    # rows in blocks and a long phi axis in slices: no temporary grows with the grid
-    width = max(1, _BLOCK // rule.order)
-    step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
-    live = np.flatnonzero(alive)
-    out = np.zeros((r.size, phi.size))
-    for lo in range(0, live.size, step):
-        rows = live[lo:lo + step]
-        for p in range(0, phi.size, width):
-            out[rows, p:p + width] = _sum_rows(s, r[rows], shift[rows], expo[rows],
-                                               phi[p:p + width], rule)
+        # rows in blocks and a long phi axis in slices: no temporary grows with the grid
+        width = max(1, _BLOCK // rule.order)
+        step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
+        live = np.flatnonzero(alive)
+        out = np.zeros((r.size, phi.size))
+        for lo in range(0, live.size, step):
+            rows = live[lo:lo + step]
+            for p in range(0, phi.size, width):
+                out[rows, p:p + width] = _sum_rows(s, r[rows], shift[rows], expo[rows],
+                                                   phi[p:p + width], rule)
     return out
 
 
@@ -206,9 +219,8 @@ def _sum_rows(s, r, shift, expo, phi, rule):
     xi_bwd.real, xi_bwd.imag = (r + shift)[:, None, None], -rule.nodes
     offsets, terms = amplitude_terms(s, xi_fwd, xi_bwd)
     phases = np.exp(-1j * offsets[:, None] * phi)[:, :, None]  # e^{-i d phi}; 1 at d = 0
-    ket = 0.0
-    for d, phase, term in zip(offsets.tolist(), phases, terms):
-        ket = ket + (phase * term if d else term)
+    ket = reduce(add, (phase * term if d else term
+                       for d, phase, term in zip(offsets.tolist(), phases, terms)))
     # xi at -t is conj(xi) at t: the bra at node t is the ket at -t, conjugated
     prod = ket[..., ::-1].conj() * ket
     envelope = 4.0 * np.exp(-expo)[:, None]
@@ -235,7 +247,8 @@ def wigner_cyl(s, at):
                                        r + abs(shift) + rule.nodes[-1])):
         return 0.0
     row = np.array([r, shift, expo, at.phi])[:, None]
-    return float(_sum_rows(s, row[0], row[1], row[2], row[3], rule)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _evaluate's block loop
+        return float(_sum_rows(s, row[0], row[1], row[2], row[3], rule)[0, 0])
 
 
 def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
@@ -259,6 +272,8 @@ def marginal_angle_oam(s, phi, ell, radial_rule):
     """
     if radial_rule.kind is not QuadKind.GAUSS_LEGENDRE_MAPPED:
         raise ValueError("radial integration requires a mapped Gauss-Legendre rule")
+    if not (_one_value(phi) and _one_value(ell)):  # an array would be cut or read as rows
+        raise ValueError("phi and ell must be scalars")
     vals = _evaluate(s, radial_rule.nodes, ell, phi)[:, 0]
     peak = np.maximum.reduce(np.abs(vals))
     if abs(vals[-1]) > 1e-12 * max(peak, 1e-300):
@@ -305,16 +320,13 @@ def _radial_sum(s, r, h):
     u = r * r + rp * rp
     offsets, p = amplitude_series(s, u)
     # ket_d bra_d = diagonal_power(2 d, xi, conj(xi)) |p_d(u)|^2, with xi = r + i r'
-    lam = r + 1j * rp
-    terms = 0.0
-    for d, p_d in zip(offsets.tolist(), p):
-        sq = p_d.real ** 2 + p_d.imag ** 2
-        if d:
-            sq = diagonal_power(2 * d, lam, lam.conj()) * sq
-        terms = terms + sq
+    offsets = offsets.tolist()
+    xi = r + 1j * rp if any(offsets) else None
+    terms = reduce(add, (diagonal_power(2 * d, xi, xi.conj()) * sq if d else sq
+                         for d, sq in zip(offsets, p.real ** 2 + p.imag ** 2)))
     terms = np.exp(-u) * terms
-    total = np.sum(terms)
-    scale = np.sum(np.abs(terms))
+    total = np.add.reduce(terms)
+    scale = np.add.reduce(np.abs(terms))
     # written so that a nan fails both tests
     if not abs(total.imag) <= 1e-9 * scale:
         raise QuadratureResidueError(
@@ -340,6 +352,8 @@ def marginal_radial(s, r, ell_max=None):
     """
     if ell_max is not None and ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
+    if not _one_value(r):
+        raise ValueError("r must be a scalar")
     if not (isfinite(r) and r > 0):
         raise ValueError("r must be strictly positive")
     r = float(r)

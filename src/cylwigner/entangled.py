@@ -9,12 +9,14 @@ cylindrical Wigner transform integrates.
 A state's amplitude is read from its one cached diagonal table
 (``TwoModeFock.amplitude_table``), then each nonzero offset d times its power
 (:func:`specfun.diagonal_power`).  On the cylindrical contour it is one Horner pass
-of the monomial form in u = lam lam_bar, for every OAM value at once, in place; the
-bra side, the conjugate ket at conjugated arguments, is the ket at the mirrored node.
-At a real u >= 0, where the monomial form cancels, :func:`amplitude_series` sums the
-Laguerre series instead, for psi_entangled and the radial marginal.  A single Fock
-overlap (:func:`xi_fock_overlap`) evaluates one Hermite polynomial through the same
-Laguerre reduction (:func:`specfun.hermite2`).
+of the monomial form in u = lam lam_bar, for every OAM value at once, in place from
+its first step c_0 u + c_1; the bra side, the conjugate ket at conjugated arguments,
+is the ket at the mirrored node.  At a real u >= 0, where the monomial form cancels,
+:func:`amplitude_series` sums the Laguerre series instead, for psi_entangled and the
+radial marginal: :func:`specfun.laguerre_steps` fills its Laguerre table from the
+state's read-only recurrence plan (``TwoModeFock.series_steps``), so a call sets up
+only the table.  A single Fock overlap (:func:`xi_fock_overlap`) evaluates one Hermite
+polynomial through the same Laguerre reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from math import lgamma, pi
 
 import numpy as np
 
-from .specfun import diagonal_power, hermite2, laguerre, laguerre_table
+from .specfun import diagonal_power, hermite2, laguerre, laguerre_steps
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,12 @@ def amplitude_terms(s, lam, lam_bar):
     u = lam * lam_bar
     offsets, _, coeffs = s.amplitude_table
     coeffs = coeffs.reshape(coeffs.shape + (1,) * u.ndim)
-    terms = np.full(coeffs.shape[1:2] + u.shape, coeffs[0])
-    for c in coeffs[1:]:
+    if len(coeffs) == 1:
+        terms = np.full(coeffs.shape[1:2] + u.shape, coeffs[0])
+    else:  # the pass's first step, c_0 u + c_1, seeds it
+        terms = coeffs[0] * u
+        terms += coeffs[1]
+    for c in coeffs[2:]:
         terms *= u
         terms += c
     for i, d in enumerate(offsets.tolist()):
@@ -95,12 +101,16 @@ def amplitude_polynomial(s, lam, lam_bar):
 
 def amplitude_series(s, u):
     """``(offsets, p)``, p[i] = p_d(u) for d = offsets[i] on the shape of a real u >= 0,
-    each summed from the table's Laguerre series (see the module docstring)."""
+    each summed from the table's Laguerre series (see the module docstring).  The table
+    L_k^|d|(u) is filled by the state's recurrence plan (``TwoModeFock.series_steps``)."""
     offsets, series, _ = s.amplitude_table
+    step_a, step_b = s.series_steps
     lead = (1,) * np.ndim(u)
-    p = np.sum(series.reshape(series.shape + lead) * laguerre_table(
-        len(series) - 1, np.abs(offsets).reshape((-1,) + lead), u), axis=0)
-    return offsets, p
+    table = np.empty((len(series) + 1,) + offsets.shape + np.shape(u))
+    table[0], table[1] = 0.0, 1.0  # table[k + 1] holds L_k; L_-1 = 0 starts the recurrence
+    laguerre_steps(table, step_a.reshape(step_a.shape + lead) - u,
+                   step_b.reshape(step_b.shape + lead))
+    return offsets, np.add.reduce(series.reshape(series.shape + lead) * table[1:], axis=0)
 
 
 def psi_entangled(s, at):

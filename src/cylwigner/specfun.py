@@ -40,13 +40,16 @@ def check_order_bound(quanta):
 
 def diagonal_power(d, lam, lam_bar):
     """The power of offset d in the diagonal form, lam^d for d >= 0 and lam_bar^-d otherwise,
-    as a complex array, by repeated squaring: numpy's complex pow is four times slower."""
+    as a new complex array, by repeated squaring: numpy's complex pow is four times slower.
+    The product starts from the first square it takes, not from ones."""
     base, d = np.asarray(lam if d >= 0 else lam_bar, dtype=complex), abs(d)
-    power = base.copy() if d & 1 else np.ones_like(base)
+    if d < 2:
+        return base.copy() if d else np.ones_like(base)
+    power = base if d & 1 else None  # not returned: a higher bit multiplies it
     while d := d >> 1:
         base = base * base
         if d & 1:
-            power = power * base
+            power = base if power is None else power * base
     return power
 
 

@@ -11,8 +11,10 @@ evaluator re-checks them.  The constructors check the bound on their top
 quanta (``specfun.check_order_bound``) before they allocate a table.  A
 state expands its entangled-basis amplitude once (``amplitude_table``), as
 Laguerre series for the radial marginal and in monomial form for the
-cylindrical kernel, from one pass, and the 4D oracle reads its parity
-tables (``parity_tables``).  States and points compare and hash by identity.
+cylindrical kernel, from one pass, and plans the recurrence that sums the series
+(``series_steps``: its x-free step terms per offset), as the oracle plans each
+dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on
+first use and kept read-only.  States and points compare and hash by identity.
 
 The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell),
 integrates the 4D function over p_r along a ray; the displacements are laid out in
@@ -78,6 +80,19 @@ class TwoModeFock:
         u = lam lam_bar.  The cylindrical kernel reads the monomial form in one Horner
         pass, and the radial marginal and psi_entangled the series, where u is real."""
         return laguerre_diagonals(self.coeffs)
+
+    @cached_property
+    def series_steps(self):
+        """The plan of the Laguerre recurrence that sums ``amplitude_table``'s series,
+        read-only and built once: its x-free step terms 2k - 1 + |d| and k - 1 + |d|, one
+        row per step k = 1..degree and one column per offset d, for
+        :func:`specfun.laguerre_steps`."""
+        offsets, series, _ = self.amplitude_table
+        k, alpha = np.arange(1.0, len(series))[:, None], np.abs(offsets)
+        steps = (2.0 * k - 1 + alpha, k - 1 + alpha)
+        for a in steps:
+            a.setflags(write=False)
+        return steps
 
     @cached_property
     def parity_tables(self):

@@ -339,14 +339,69 @@ def test_kernel_refuses_a_nan_sum(monkeypatch):
             marginal_angle_oam(s, 0.7, 1, gauss_legendre_mapped(16, 1e-3, 8.0))
 
 
+def test_kernel_refuses_an_infinite_sum(monkeypatch):
+    # an infinite polynomial term is refused by the kernel's residue test, with no numpy
+    # RuntimeWarning on the way (an error under the suite's filterwarnings)
+    exact = cylindrical.amplitude_terms
+
+    def poisoned(s, lam, lam_bar):
+        offsets, terms = exact(s, lam, lam_bar)
+        terms[..., 0] = np.inf  # the first node of every row
+        return offsets, terms
+
+    monkeypatch.setattr(cylindrical, "amplitude_terms", poisoned)
+    for s in (make_summed_oam(2, 6), make_superposition(3, -3, 0.4, 9)):
+        with pytest.raises(QuadratureResidueError):
+            wigner_cyl(s, CylPoint(1.0, 0.7, 1))
+        with pytest.raises(QuadratureResidueError):
+            wigner_cyl_grid(s, [0.5, 1.0], [0.0, 1.0], [0, 1])
+        with pytest.raises(QuadratureResidueError):
+            marginal_angle_oam(s, 0.7, 1, gauss_legendre_mapped(16, 1e-3, 8.0))
+
+
+def test_marginal_angle_oam_refuses_a_phi_array():
+    # it returned the value at the first phi alone
+    s, rule = make_superposition(3, -3, 0.4, 9), gauss_legendre_mapped(16, 1e-3, 8.0)
+    with pytest.raises(ValueError, match="scalar"):
+        marginal_angle_oam(s, [0.1, 0.2], 0, rule)
+
+
+def test_marginal_angle_oam_refuses_an_empty_phi():
+    # it raised ZeroDivisionError in the kernel's block arithmetic
+    s, rule = make_superposition(3, -3, 0.4, 9), gauss_legendre_mapped(16, 1e-3, 8.0)
+    for phi in ([], np.array([])):
+        with pytest.raises(ValueError, match="scalar"):
+            marginal_angle_oam(s, phi, 0, rule)
+
+
+def test_marginal_angle_oam_refuses_an_ell_array():
+    # ell as long as the rule was paired node by node with the radial nodes
+    s, rule = make_superposition(3, -3, 0.4, 9), gauss_legendre_mapped(96, 1e-3, 8.0)
+    with pytest.raises(ValueError, match="scalar"):
+        marginal_angle_oam(s, 0.3, np.zeros(96, dtype=int), rule)
+    # numpy scalars and 0-d arrays are one value
+    want = marginal_angle_oam(s, 0.3, 0, rule)
+    assert marginal_angle_oam(s, np.float64(0.3), np.int64(0), rule) == want
+    assert marginal_angle_oam(s, np.array(0.3), np.array(0), rule) == want
+
+
+def test_marginal_radial_refuses_an_r_array():
+    # math.isfinite raised TypeError on it
+    s = make_summed_oam(0, 4)
+    with pytest.raises(ValueError, match="scalar"):
+        marginal_radial(s, np.array([1.0, 2.0]))
+    assert marginal_radial(s, np.array(1.5)) == marginal_radial(s, 1.5)
+
+
 def test_marginal_radial_realness_check(monkeypatch):
     s = make_summed_oam(2, 6)  # one offset: no conjugate offset to pair a sample's phase
-    exact = entangled.laguerre_table
+    exact = entangled.laguerre_steps
 
-    def lopsided(p, alpha, u):  # breaks the conjugate symmetry of the samples +-r'
-        return exact(p, alpha, u) * (1.0 + 0.1 * (np.arange(u.size) > u.size // 2))
+    def lopsided(rows, a, b):  # breaks the conjugate symmetry of the samples +-r'
+        exact(rows, a, b)
+        rows *= 1.0 + 0.1 * (np.arange(rows.shape[-1]) > rows.shape[-1] // 2)
 
-    monkeypatch.setattr(entangled, "laguerre_table", lopsided)
+    monkeypatch.setattr(entangled, "laguerre_steps", lopsided)
     with pytest.raises(QuadratureResidueError):
         marginal_radial(s, 1.0)
 

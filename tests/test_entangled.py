@@ -6,10 +6,10 @@ import pytest
 from cylwigner import (EntangledArg, TwoModeFock, gauss_hermite,
                        laguerre_gauss_profile, make_N_l_eigenstate, make_summed_oam,
                        make_superposition, psi_entangled, rotate_state, xi_fock_overlap)
-from cylwigner.entangled import amplitude_polynomial, amplitude_terms
+from cylwigner.entangled import amplitude_polynomial, amplitude_series, amplitude_terms
 from cylwigner.errors import OrderBoundError
 from cylwigner.quadrature import deweighted
-from cylwigner.specfun import MAX_TOTAL_ORDER
+from cylwigner.specfun import MAX_TOTAL_ORDER, laguerre_table
 from test_specfun import hermite2_bruteforce
 
 
@@ -246,3 +246,34 @@ def test_amplitude_table_order_bound():
     with pytest.raises(OrderBoundError):
         make_N_l_eigenstate(MAX_TOTAL_ORDER + 2, 0)
     assert len(make_N_l_eigenstate(MAX_TOTAL_ORDER, 0).amplitude_table[0]) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_summed_oam(0, 20), lambda: make_superposition(3, -3, 0.4, 9),
+    lambda: TwoModeFock(np.array([[0.6, 0, 0], [0, 0, 0.8j], [0, 0, 0]])),
+    lambda: make_N_l_eigenstate(4, -4), lambda: make_summed_oam(0, 60), raw_table_of_59_quanta,
+], ids=["summed-20", "superposition-9", "raw-complex", "degree-0", "summed-60", "raw-59"])
+def test_amplitude_series_is_the_laguerre_table_sum_bit_for_bit(make, rng):
+    # the state's recurrence plan fills the same table laguerre_table fills
+    s = make()
+    offsets, series, _ = s.amplitude_table
+    for u in (2.7, rng.uniform(0.0, 40.0, 33), rng.uniform(0.0, 40.0, (3, 11))):
+        lead = (1,) * np.ndim(u)
+        want = np.sum(series.reshape(series.shape + lead) * laguerre_table(
+            len(series) - 1, np.abs(offsets).reshape((-1,) + lead), u), axis=0)
+        got_offsets, got = amplitude_series(s, u)
+        assert got_offsets is offsets
+        assert got.dtype == want.dtype and got.shape == want.shape == offsets.shape + np.shape(u)
+        assert got.tobytes() == want.tobytes(), np.shape(u)
+
+
+def test_series_plan_is_cached_and_read_only():
+    s = make_superposition(5, -4, 0.7, 50)
+    offsets, series, _ = s.amplitude_table
+    plan = s.series_steps
+    assert s.series_steps is plan
+    k, alpha = np.arange(1, len(series))[:, None], np.abs(offsets)
+    for got, want in zip(plan, (2 * k - 1 + alpha, k - 1 + alpha)):
+        assert got.dtype == float and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0

@@ -249,6 +249,32 @@ def test_diagonal_power_of_offset_zero_is_complex_ones():
         assert np.all(got == 1.0)
 
 
+def reference_diagonal_power(d, lam, lam_bar):
+    """Repeated squaring seeded with a copy of the base or with ones, as diagonal_power was
+    first written: the reference its output must equal bit for bit on finite inputs."""
+    base, d = np.asarray(lam if d >= 0 else lam_bar, dtype=complex), abs(d)
+    power = base.copy() if d & 1 else np.ones_like(base)
+    while d := d >> 1:
+        base = base * base
+        if d & 1:
+            power = power * base
+    return power
+
+
+def test_diagonal_power_is_the_reference_squaring_bit_for_bit(rng):
+    def draw(shape):
+        return rng.uniform(0.3, 2.0, shape) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, shape))
+
+    cases = [(draw(24), draw(24)), (draw((3, 1, 5)), draw((3, 1, 5))),
+             (np.asarray(draw(())), np.asarray(draw(()))), (complex(draw(())), 0.7 - 0.2j)]
+    for lam, lam_bar in cases:
+        for d in range(-MAX_TOTAL_ORDER, MAX_TOTAL_ORDER + 1):
+            got, want = diagonal_power(d, lam, lam_bar), reference_diagonal_power(d, lam, lam_bar)
+            assert got.dtype == want.dtype == complex and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (d, np.shape(lam))
+            assert got is not lam and got is not lam_bar  # a new array, safe to write
+
+
 def test_diagonal_power_of_a_negative_offset_reads_lam_bar(rng):
     lam = rng.normal(size=6) + 1j * rng.normal(size=6)
     lam_bar = rng.normal(size=6) + 1j * rng.normal(size=6)  # independent of lam
