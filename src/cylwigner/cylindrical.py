@@ -34,11 +34,11 @@ bra terms of equal offset d.  So
 with r_k = k h, u_k = r^2 + r_k^2, xi_k = r + i r_k (conj(xi_k)^(-2d) for
 d < 0, the diagonal power rule) and h = pi r, or an integer multiple of it
 at small r where the kernel's underflow test zeroes every ring that spacing
-aliases.  There u is real and non-negative, so each p_d is the Laguerre
-series of ``entangled.amplitude_series``, summed by the stable upward
-recurrence from the state's plan, not the monomial form that cancels: against
-60-digit all-ell sums the result is within 8.3e-16 relative at 20 and 40 quanta,
-where the rings of the shifted sum were within 3.1e-10 and 7.2e-2.  Both
+aliases.  One search of that test sets both h and how far the samples go.
+There u is real and non-negative, so each p_d is the Laguerre series of
+``entangled.amplitude_series``, summed by the stable upward recurrence from
+the state's plan, not the monomial form that cancels: against 60-digit all-ell
+sums the result is within 8.3e-16 relative at 20 and 40 quanta.  Both
 marginals take one value per call (one phi and ell, or one r) and refuse an
 array (ValueError).
 
@@ -300,22 +300,19 @@ def _negligible_past(r, quanta, reach0):
     return x
 
 
-def _radial_spacing(s, r):
-    """Sample spacing h of the radial sum: pi r, or the largest m pi r whose
-    extra aliases, the rings at ell = j/m for j not a multiple of m, all
-    underflow by the kernel's test."""
-    a = _negligible_past(r, s.max_total_quanta, r + float(default_rule(s).nodes[-1]))
-    if a is None:  # every ring underflows
-        return pi * r
-    q = 1.0 / (a * r)  # the largest admissible m, inf at a subnormal r
-    return pi * r * max(1, floor(q)) if isfinite(q) else pi / a
+def _radial_sum(s, r, fine=False):
+    """The Poisson sum of the radial marginal, and its sample spacing h.
 
-
-def _radial_sum(s, r, h):
-    """The Poisson sum of the radial marginal at sample spacing h."""
-    x = _negligible_past(r, s.max_total_quanta, r)
-    if x is None:
-        return 0.0
+    One search, at the reach of the kernel's ring test (r plus the rule's largest
+    node), gives the x past which every ring is zero by that test: h is pi r, or
+    unless ``fine`` the largest m pi r whose extra aliases, the rings at ell = j/m
+    for j not a multiple of m, all lie past x.  The samples go out to x too: their
+    own reach is r alone, so the test zeroes them no later."""
+    x = _negligible_past(r, s.max_total_quanta, r + float(default_rule(s).nodes[-1]))
+    if x is None:  # every ring underflows
+        return 0.0, pi * r
+    q = 1.0 if fine else 1.0 / (x * r)  # the largest admissible m, inf at a subnormal r
+    h = pi * r * max(1, floor(q)) if isfinite(q) else pi / x
     rp = h * np.arange(-np.ceil(x / h), np.ceil(x / h) + 1)
     u = r * r + rp * rp
     offsets, p = amplitude_series(s, u)
@@ -334,7 +331,7 @@ def _radial_sum(s, r, h):
     if not abs(terms[0]) + abs(terms[-1]) <= 1e-15 * scale:
         raise ConvergenceError(
             f"edge samples at |r'| = {rp[-1]:.3g} are not negligible")
-    return float(8.0 * pi * h * total.real)
+    return float(8.0 * pi * h * total.real), h
 
 
 def marginal_radial(s, r, ell_max=None):
@@ -357,4 +354,4 @@ def marginal_radial(s, r, ell_max=None):
     if not (isfinite(r) and r > 0):
         raise ValueError("r must be strictly positive")
     r = float(r)
-    return _radial_sum(s, r, _radial_spacing(s, r))
+    return _radial_sum(s, r)[0]

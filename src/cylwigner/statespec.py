@@ -50,10 +50,12 @@ class StateSpec:
         return self
 
 
-_REQUIRED = {
-    StateKind.EIGENSTATE: {"N": int, "l0": int},
-    StateKind.SUMMED_OAM: {"l0": int, "Nmax": int},
-    StateKind.SUPERPOSITION: {"l1": int, "l2": int, "phi0": float, "Nmax": int},
+#: Each parameterized kind's constructor and schema, named as the constructor's arguments.
+_KINDS = {
+    StateKind.EIGENSTATE: (make_N_l_eigenstate, {"N": int, "l0": int}),
+    StateKind.SUMMED_OAM: (make_summed_oam, {"l0": int, "Nmax": int}),
+    StateKind.SUPERPOSITION: (make_superposition,
+                              {"l1": int, "l2": int, "phi0": float, "Nmax": int}),
 }
 
 
@@ -64,15 +66,10 @@ def build_state(spec):
     A raw table is normalized after dividing by its largest component, so
     its norm neither overflows nor underflows.
     """
-    p = spec.params
-    if spec.kind is StateKind.EIGENSTATE:
-        return make_N_l_eigenstate(p["N"], p["l0"])
-    if spec.kind is StateKind.SUMMED_OAM:
-        return make_summed_oam(p["l0"], p["Nmax"])
-    if spec.kind is StateKind.SUPERPOSITION:
-        return make_superposition(p["l1"], p["l2"], p["phi0"], p["Nmax"])
+    if spec.kind in _KINDS:
+        return _KINDS[spec.kind][0](**spec.params)
     # zero entries do not size the table: c[10**8,0]=0 must not allocate it
-    entries = {ij: c for ij, c in p["coeffs"].items() if c != 0}
+    entries = {ij: c for ij, c in spec.params["coeffs"].items() if c != 0}
     if not entries:
         raise ValueError("raw spec has no nonzero coefficients")
     check_order_bound(max(i + j for i, j in entries))
@@ -103,7 +100,7 @@ def _parse_scalar(kind, key, value, col):
 
 def _schema_spec(kind, pairs, cols):
     """Spec of a parameterized kind from key -> value; ``cols`` gives error columns."""
-    schema = _REQUIRED[kind]
+    schema = _KINDS[kind][1]
     params = {}
     for key, typ in schema.items():
         if key not in pairs:
@@ -225,7 +222,7 @@ def serialize_state_spec(spec):
         parts = [f"c[{i},{j}]={_fmt_complex(c)}"
                  for (i, j), c in sorted(spec.params["coeffs"].items())]
         return "raw " + " ".join(parts)
-    schema = _REQUIRED[spec.kind]
+    schema = _KINDS[spec.kind][1]
     parts = [f"{key}={_fmt_num(spec.params[key])}" for key in schema]
     return f"{spec.kind.value} " + " ".join(parts)
 

@@ -308,11 +308,13 @@ def wigner_4d(s, at):
     return _wigner_4d(s, at.p_y + 1j * np.asarray(at.p_x), at.x - 1j * np.asarray(at.y))
 
 
-def _wigner_4d(s, w, z):
+def _wigner_4d(s, w, z, terms=False):
     """wigner_4d at w = p_y + i p_x and z = x - i y, arrays that broadcast together:
     coordinates its caller checked, without the far-displacement warning.
 
     w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.
+    Each value's imaginary residue is judged against its own size, or with ``terms``,
+    where the values are terms of one sum, against the largest of them.
     """
     bra, ket = s.parity_tables
     # far out, the Laguerre values overflow while exp(-|alpha|^2 / 2) underflows: a nan,
@@ -320,7 +322,8 @@ def _wigner_4d(s, w, z):
     with np.errstate(over="ignore", invalid="ignore"):
         d = displaced_fock_matrix(np.array([w + z, w - z]), bra.shape[0])
         val = (bra * (d[0] @ ket @ d[1])).sum(axis=(-2, -1)) / pi ** 2
-    real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(np.abs(val), 1e-300))
+    size = np.maximum.reduce(np.abs(val)) if terms else np.abs(val)
+    real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(size, 1e-300))
     if not real.all():
         raise QuadratureResidueError(
             "4D Wigner value is not finite or has a non-negligible imaginary part")
@@ -349,7 +352,7 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     rot = complex(c, -sn)
     # no far-displacement warning: the overlap is exact for the truncated table, and the
     # warning, aimed at users approximating untruncated states, would fire at far nodes
-    vals = _wigner_4d(s, complex(sn, c) * pr_rule.nodes + lam * rot, r * rot)
+    vals = _wigner_4d(s, complex(sn, c) * pr_rule.nodes + lam * rot, r * rot, terms=True)
     total = 0.0
     for term in (weights * vals).tolist():  # node order, left to right
         total += term

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cylwigner import make_summed_oam, marginal_radial
-from cylwigner.cylindrical import _radial_spacing, _radial_sum
+from cylwigner.cylindrical import _radial_sum
 from cylwigner.statespec import build_state, parse_state_spec
 
 HERE = Path(__file__).resolve().parent
@@ -95,13 +95,14 @@ def test_small_r_spacing_switch():
     """Where m of the spacing m pi r changes, the coarse sum is the pi r one."""
     s = make_summed_oam(0, 60)
     grid = [0.03 * 1.02 ** -i for i in range(175)]  # 0.03 down to 9.4e-4
-    m = [round(_radial_spacing(s, r) / (math.pi * r)) for r in grid]
+    m = [round(_radial_sum(s, r)[1] / (math.pi * r)) for r in grid]
     switches = [i for i in range(1, len(grid)) if m[i] != m[i - 1]]
     assert m[0] == 1 and m[-1] > 10 and m == sorted(m)
     for i in switches:
         for r in (grid[i - 1], grid[i]):
             coarse = marginal_radial(s, r)
-            fine = _radial_sum(s, r, math.pi * r)
+            fine, h = _radial_sum(s, r, fine=True)
+            assert h == math.pi * r
             assert abs(coarse - fine) <= 1e-13 * abs(fine)
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cylwigner import (CartesianPoint4, TwoModeFock, expectation_N_L,
-                       make_N_l_eigenstate, make_summed_oam, make_superposition,
-                       mode_rotate_xy_to_pm, rotate_state, wigner_4d)
+from cylwigner import (KAPPA, CartesianPoint4, CylPoint, TwoModeFock, expectation_N_L,
+                       gauss_hermite, make_N_l_eigenstate, make_summed_oam,
+                       make_superposition, mode_rotate_xy_to_pm, oracle_cyl_from_cartesian,
+                       rotate_state, wigner_4d)
 from cylwigner import twomode
 from cylwigner.errors import QuadratureResidueError, TruncationWarning
 from cylwigner.specfun import laguerre_table
@@ -285,6 +286,30 @@ def test_wigner_4d_residue_test_is_per_value(monkeypatch):
     monkeypatch.setattr(twomode, "displaced_fock_matrix", lambda a, dim: exact(a, dim) * phase)
     with pytest.raises(QuadratureResidueError):
         wigner_4d(s, CartesianPoint4(np.array([3.0, 0.0]), 0.0, 0.0, 0.0))
+
+
+#: A point of summed Nmax=60 where one p_r node's value, -2.0e-10, passes near zero
+#: (its largest node reads 2.9e-4), and W there from ``w_reference`` of
+#: ``perfbench/reference.py`` at 60 digits.
+NEAR_ZERO_NODE = (CylPoint(2.386386132547314, 5.4836051621879704, 3), 0.018682570988573143)
+
+
+def test_oracle_residue_test_is_per_point():
+    # the nodes are terms of one value: a residue of 1.9e-10 of a node near zero,
+    # 1.3e-16 of the point's largest node, is rounding, not a fault
+    s, (at, want) = make_summed_oam(0, 60), NEAR_ZERO_NODE
+    got = KAPPA * oracle_cyl_from_cartesian(s, at, gauss_hermite(68))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_oracle_refuses_a_residue_at_its_points_scale(monkeypatch):
+    # every node's value turned by 1e-8: the largest node's residue is 1e-8 of the scale
+    s, (at, _) = make_summed_oam(0, 60), NEAR_ZERO_NODE
+    exact = displaced_fock_matrix
+    phase = np.exp(1j * np.array([1e-8, 0.0]))[:, None, None, None]
+    monkeypatch.setattr(twomode, "displaced_fock_matrix", lambda a, dim: exact(a, dim) * phase)
+    with pytest.raises(QuadratureResidueError):
+        oracle_cyl_from_cartesian(s, at, gauss_hermite(68))
 
 
 def test_wigner_4d_parity_at_origin():
