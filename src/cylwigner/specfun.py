@@ -120,8 +120,8 @@ def laguerre_steps(rows, a, b):
     """The upward three-term recurrence L_k = (a_k L_(k-1) - b_k L_(k-2)) / k in place:
     rows[k + 1] holds L_k, so rows[0] (L_-1 = 0) and rows[1] (L_0 = 1) start it.
     a_k = 2k - 1 + alpha - x and b_k = k - 1 + alpha are a[k - 1] and b[k - 1].  Any table
-    with its degree axis first will do: laguerre_table's, or the 4D oracle's, whose
-    x-free step terms come from its per-dim plan."""
+    with its degree axis first will do; all three callers put the points last:
+    laguerre_table, entangled.amplitude_series and the 4D oracle (degree + 1, order, value)."""
     for k, a_k, b_k in zip(range(1, len(rows) - 1), a, b):
         np.divide(a_k * rows[k] - b_k * rows[k - 1], k, out=rows[k + 1, ...])
 

@@ -17,10 +17,10 @@ dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built o
 first use and kept read-only.  States and points compare and hash by identity.
 
 The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell),
-integrates the 4D function over p_r along a ray; the displacements are laid out in
-``_wigner_4d`` alone.  Its displaced-Fock matrices are gathered from two tables per
-call, powers and Laguerre values, by one read-only plan per dim (``_dim_constants``);
-the Laguerre step loop is ``specfun.laguerre_steps``, which ``laguerre_table`` runs too.
+integrates the 4D function over p_r along a ray; ``_wigner_4d`` alone lays out the
+displacements and contracts them in two flat matrix products, of displaced-Fock matrices
+gathered from two points-last tables, powers and Laguerre values (``specfun.laguerre_steps``
+fills the latter), by one read-only plan per dim (``_dim_constants``).
 """
 
 import warnings
@@ -228,18 +228,18 @@ def mode_rotate_xy_to_pm(coeffs_xy):
 def _dim_constants(dim):
     """The per-dim plan of displaced_fock_matrix, read-only and built once per dim:
     ratio = sqrt(min! / max!) signed (-1)^(n - m) for m < n, from exact integers (an lgamma
-    form is 2.2e-15 off at dim 21); the flat index of each (m, n) element's power in
-    [alpha^k, conj(alpha)^k]; the flat index of its Laguerre value L_min(m,n)^|m-n| in a
-    (degree + 1, order) table whose row 0 is L_-1; and the recurrence's x-free step terms
-    2k - 1 + order and k - 1 + order, one row per step k = 1..dim - 1."""
+    form is 2.2e-15 off at dim 21), as a (dim, dim, 1) column; the flat index of each (m, n)
+    element's power in [alpha^k, conj(alpha)^k] and of its Laguerre value L_min(m,n)^|m-n|
+    in a (degree + 1, order) table whose row 0 is L_-1; and the recurrence's x-free step
+    terms 2k - 1 + order and k - 1 + order, an (order, 1) column per step k = 1..dim - 1."""
     k = np.arange(dim)
     order = np.abs(np.subtract.outer(k, k))
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
               for n in range(dim)] for m in range(dim)]
-    step = k[1:, None]
-    plan = (np.array(ratio), order + dim * np.less.outer(k, k),
+    step = k[1:, None, None]
+    plan = (np.array(ratio)[..., None], order + dim * np.less.outer(k, k),
             (np.minimum.outer(k, k) + 1) * dim + order,
-            (2.0 * step - 1 + k)[:, None], step - 1.0 + k)
+            2.0 * step - 1 + k[:, None], step - 1.0 + k[:, None])
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -252,37 +252,30 @@ def displaced_fock_matrix(alpha, dim):
     exact up to roundoff.  An array of alpha gives matrices of shape
     alpha.shape + (dim, dim), each computed as for that alpha alone; -conj(alpha)
     gives the transpose of alpha's matrix, bit for bit.  The per-dim plan
-    (_dim_constants) gathers every element from two tables: the powers
-    exp(-|alpha|^2 / 2) alpha^k, by a running product, and every L_n^order(|alpha|^2),
-    n, order < dim, from specfun's recurrence.  The whole (degree, order) square is
-    filled, not only the triangle degree + order < dim that is read: at these sizes a
-    step costs per numpy call, not per element, and a trimmed one measured slower.
+    (_dim_constants) gathers every element from two points-last tables: the powers
+    exp(-|alpha|^2 / 2) alpha^k and their conjugates (2 dim, value), and every
+    L_n^order(|alpha|^2), n, order < dim (degree + 1, order, value), from specfun's
+    recurrence.  The whole (degree, order) square is filled, not only the triangle
+    degree + order < dim that is read: trimmed, it measured 10-16% slower at dims 2-7.
     """
-    ratio, power_index, laguerre_index = _dim_constants(dim)[:3]
-    alpha = np.asarray(alpha, dtype=complex)
-    aa = alpha.real ** 2 + alpha.imag ** 2
+    ratio, power_index, laguerre_index, step_a, step_b = _dim_constants(dim)
+    flat = np.asarray(alpha, dtype=complex).reshape(-1)
+    aa = flat.real ** 2 + flat.imag ** 2
     # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m), its sign in ratio;
     # the envelope exp(-|alpha|^2 / 2) seeds the running product of powers
-    powers = np.empty(alpha.shape + (2 * dim,), dtype=complex)
-    powers[..., 0] = np.exp(aa * -0.5)
-    powers[..., 1:dim] = alpha[..., None]
-    np.multiply.accumulate(powers[..., :dim], axis=-1, out=powers[..., :dim])
-    np.conjugate(powers[..., :dim], out=powers[..., dim:])
-    d = powers.take(power_index, axis=-1)
-    d *= ratio * _laguerre_square(aa, dim).take(laguerre_index, axis=-1)
-    return d
-
-
-def _laguerre_square(aa, dim):
-    """L_n^order(aa), n, order < dim, as a flat (degree + 1, order) table per value whose
-    first row is L_-1 = 0.  The recurrence fills a (degree + 1, value, order) table, which
-    one transposed copy reorders."""
-    step_a, step_b = _dim_constants(dim)[3:]
-    a = step_a - aa.reshape(-1, 1)
-    lag = np.empty((dim + 1,) + a.shape[1:])
+    powers = np.empty((2 * dim, flat.size), dtype=complex)
+    powers[0], powers[1:dim] = np.exp(aa * -0.5), flat
+    np.multiply.accumulate(powers[:dim], axis=0, out=powers[:dim])
+    np.conjugate(powers[:dim], out=powers[dim:])
+    lag = np.empty((dim + 1, dim, flat.size))
     lag[0], lag[1] = 0.0, 1.0
-    laguerre_steps(lag, a, step_b)
-    return lag.transpose(1, 0, 2).reshape(aa.shape + (-1,))
+    laguerre_steps(lag, step_a - aa, step_b)
+    # whole rows, read transposed below: a point-by-point gather is slower from dim 16
+    lag = lag.reshape(-1, flat.size).take(laguerre_index, axis=0)
+    lag *= ratio
+    d = powers.T.take(power_index, axis=-1)
+    d *= lag.transpose(2, 0, 1)
+    return d.reshape(np.shape(alpha) + (dim, dim))
 
 
 def wigner_4d(s, at):
@@ -293,8 +286,8 @@ def wigner_4d(s, at):
     of the table: D_x(a_x) D_y(a_y) = D_+(a_+) D_-(a_-) with a_(+-) = (a_x -+ i a_y)
     / sqrt(2), and (-1)^(N_x + N_y) = (-1)^(n+ + n-).  With a = (q + i p)/sqrt(2)
     per mode, 2 a_(+-) = (x +- p_y) + i (p_x -+ y).  The vacuum gives
-    exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.  A batch of points gives an array
-    of values, from one batched matrix product.
+    exp(-(x^2 + p_x^2 + y^2 + p_y^2)) / pi^2.  A batch of points gives an array of values;
+    each is refused if its imaginary residue is not negligible beside its terms.
     """
     # |a_x|^2 + |a_y|^2 > cutoff/2 + 1/2, with a = (q + i p)/sqrt(2) per mode; a square
     # that overflows is inf, still past the cutoff
@@ -312,19 +305,26 @@ def _wigner_4d(s, w, z, terms=False):
     """wigner_4d at w = p_y + i p_x and z = x - i y, arrays that broadcast together:
     coordinates its caller checked, without the far-displacement warning.
 
-    w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.
-    Each value's imaginary residue is judged against its own size, or with ``terms``,
-    where the values are terms of one sum, against the largest of them.
+    w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.  A value
+    Sum bra (D_+ ket D_-) is Sum X Y^T, X = D_+ ket and Y = D_- bra^T: two flat products.
+    Its imaginary residue is judged against its Sum |X Y^T|, or with ``terms`` (the values
+    are terms of one sum) against the largest value, one float.
     """
-    bra, ket = s.parity_tables
-    # far out, the Laguerre values overflow while exp(-|alpha|^2 / 2) underflows: a nan,
-    # refused below
+    (bra, ket), dim = s.parity_tables, s.cutoff + 1
+    alpha = np.array([w + z, w - z])
+    # far out, Laguerre values overflow as exp(-|alpha|^2 / 2) underflows: a nan, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        d = displaced_fock_matrix(np.array([w + z, w - z]), bra.shape[0])
-        val = (bra * (d[0] @ ket @ d[1])).sum(axis=(-2, -1)) / pi ** 2
-    size = np.maximum.reduce(np.abs(val)) if terms else np.abs(val)
-    real = np.isfinite(val) & (np.abs(val.imag) <= 1e-10 * np.maximum(size, 1e-300))
-    if not real.all():
+        d = displaced_fock_matrix(alpha, dim).reshape(2, -1, dim)
+        parts = ((d[0] @ ket).reshape(-1, dim, dim)
+                 * (d[1] @ bra.T).reshape(-1, dim, dim).transpose(0, 2, 1))
+        val = parts.sum(axis=(1, 2)).reshape(alpha.shape[1:]) / pi ** 2
+        if terms:
+            size = float(np.max(np.abs(val)))
+            real = isfinite(size) and (abs(val.imag) <= 1e-10 * max(size, 1e-300)).all()
+        else:
+            size = np.abs(parts).sum(axis=(1, 2)).reshape(val.shape) / pi ** 2
+            real = np.isfinite(size).all() and (abs(val.imag) <= 1e-10 * size.clip(1e-300)).all()
+    if not real:
         raise QuadratureResidueError(
             "4D Wigner value is not finite or has a non-negligible imaginary part")
     return float(val.real) if val.ndim == 0 else val.real

@@ -1,5 +1,5 @@
 import itertools
-from math import exp, pi, sqrt
+from math import cos, exp, isfinite, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -186,14 +186,25 @@ def test_displaced_fock_matrix_at_the_plan_edges_against_expm(dim):
         assert np.allclose(got[idx], exact, atol=1e-12), alphas[idx]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 7, 21])
-def test_oracle_laguerre_values_are_laguerre_table_bit_for_bit(rng, dim):
-    # one recurrence: the oracle's table of L_n^order(|alpha|^2) is laguerre_table's
-    for aa in (rng.uniform(0, 60, size=(2, 9)), np.float64(rng.uniform(0, 60))):
-        got = twomode._laguerre_square(aa, dim).reshape(aa.shape + (dim + 1, dim))
-        want = laguerre_table(dim - 1, np.arange(dim), aa[..., None])
-        assert not got[..., 0, :].any()  # L_-1
-        assert np.array_equal(got[..., 1:, :], np.moveaxis(want, 0, -2))
+@pytest.mark.parametrize("dim", [1, 2, 7, 21, 31])
+def test_oracle_laguerre_values_are_laguerre_table_bit_for_bit(rng, monkeypatch, dim):
+    # one recurrence: the oracle's (degree + 1, order, value) table of L_n^order(|alpha|^2)
+    # is laguerre_table's
+    tables, exact = [], twomode.laguerre_steps
+
+    def recorded(rows, a, b):
+        exact(rows, a, b)
+        tables.append(rows)
+
+    monkeypatch.setattr(twomode, "laguerre_steps", recorded)
+    for alpha in (rng.uniform(-5, 5, size=(2, 9)) + 1j * rng.uniform(-5, 5, size=(2, 9)),
+                  complex(*rng.uniform(-5, 5, size=2))):
+        displaced_fock_matrix(alpha, dim)
+        got = tables.pop()
+        flat = np.asarray(alpha).reshape(-1)
+        want = laguerre_table(dim - 1, np.arange(dim)[:, None], flat.real ** 2 + flat.imag ** 2)
+        assert not got[0].any()  # L_-1
+        assert np.array_equal(got[1:], want)
 
 
 def test_displaced_fock_matrix_batch_is_elementwise(rng):
@@ -310,6 +321,39 @@ def test_oracle_refuses_a_residue_at_its_points_scale(monkeypatch):
     monkeypatch.setattr(twomode, "displaced_fock_matrix", lambda a, dim: exact(a, dim) * phase)
     with pytest.raises(QuadratureResidueError):
         oracle_cyl_from_cartesian(s, at, gauss_hermite(68))
+
+
+@pytest.mark.filterwarnings("ignore::cylwigner.errors.TruncationWarning")
+def test_wigner_4d_judges_a_value_against_its_terms(monkeypatch):
+    # at the Cartesian point of NEAR_ZERO_NODE's node 13, W reads -2.0e-10, summed from terms
+    # whose moduli add to 1.03e-2: its imaginary residue, 3.8e-20, is rounding
+    s, (at, _) = make_summed_oam(0, 60), NEAR_ZERO_NODE
+    rule = gauss_hermite(68)
+    nodes, exact = [], twomode._wigner_4d
+
+    def recorded(*args, **kwargs):
+        nodes.append(exact(*args, **kwargs))
+        return nodes[-1]
+
+    monkeypatch.setattr(twomode, "_wigner_4d", recorded)
+    oracle_cyl_from_cartesian(s, at, rule)
+    monkeypatch.undo()
+    t, lam, c, sn = rule.nodes[13], at.ell / at.r, cos(at.phi), sin(at.phi)
+    assert t == pytest.approx(-5.74156085080273, rel=1e-14)
+    got = wigner_4d(s, CartesianPoint4(at.r * c, t * c - lam * sn, at.r * sn, t * sn + lam * c))
+    assert isfinite(got) and abs(got - nodes[0][13]) <= 1e-12 * 1.03e-2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 16, 21, 31])
+def test_oracle_batch_is_its_single_nodes_bit_for_bit(rng, dim):
+    # the flat products' row blocks change with the batch size; a node's bits must not
+    s = random_state(rng, cutoff=dim - 1)
+    for n in (1, 2, 3, 5, 8, 17, 33, 68):
+        phi, lam, r = rng.uniform(0, 2 * pi), rng.uniform(-3, 3), rng.uniform(0.5, 2.2)
+        rot = complex(cos(phi), -sin(phi))
+        w, z = complex(sin(phi), cos(phi)) * gauss_hermite(n).nodes + lam * rot, r * rot
+        got = twomode._wigner_4d(s, w, z)
+        assert np.array_equal(got, [twomode._wigner_4d(s, node, z) for node in w]), n
 
 
 def test_wigner_4d_parity_at_origin():
