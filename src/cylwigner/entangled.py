@@ -13,10 +13,10 @@ of the monomial form in u = lam lam_bar, for every OAM value at once, in place f
 its first step c_0 u + c_1; the bra side, the conjugate ket at conjugated arguments,
 is the ket at the mirrored node.  At a real u >= 0, where the monomial form cancels,
 :func:`amplitude_series` sums the Laguerre series instead, for psi_entangled and the
-radial marginal: :func:`specfun.laguerre_steps` fills its Laguerre table from the
-state's read-only recurrence plan (``TwoModeFock.series_steps``), so a call sets up
-only the table.  A single Fock overlap (:func:`xi_fock_overlap`) evaluates one Hermite
-polynomial through the same Laguerre reduction (:func:`specfun.hermite2`).
+radial marginal: one :func:`specfun.laguerre_rows` call runs its Laguerre table from the
+state's read-only recurrence plan (``TwoModeFock.series_steps``, a
+:func:`specfun.laguerre_plan`).  A single Fock overlap (:func:`xi_fock_overlap`) evaluates
+one Hermite polynomial through the same Laguerre reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from math import lgamma, pi
 
 import numpy as np
 
-from .specfun import diagonal_power, hermite2, laguerre, laguerre_steps
+from .specfun import diagonal_power, hermite2, laguerre, laguerre_rows
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,13 @@ def wrap_phi(phi):
     return np.mod(np.mod(phi, 2.0 * pi), 2.0 * pi)
 
 
+def _gaussian(xi):
+    """exp(-|xi|^2 / 2), and xi with 0 where that underflows: no far polynomial overflows."""
+    with np.errstate(over="ignore"):  # |xi|^2 past the float range: the envelope is 0
+        envelope = np.exp(-np.abs(xi) ** 2 / 2.0)
+    return envelope, np.where(envelope == 0, 0, xi)
+
+
 def xi_fock_overlap(xi, n_plus, n_minus):
     """Overlap <xi|n_plus, n_minus>.
 
@@ -55,7 +62,8 @@ def xi_fock_overlap(xi, n_plus, n_minus):
     the single most error-prone sign convention in the package.
     """
     norm = np.exp(-0.5 * (lgamma(n_plus + 1) + lgamma(n_minus + 1)))
-    return np.exp(-np.abs(xi) ** 2 / 2.0) * norm * hermite2(n_minus, n_plus, xi)
+    envelope, xi = _gaussian(xi)
+    return envelope * norm * hermite2(n_minus, n_plus, xi)
 
 
 def amplitude_terms(s, lam, lam_bar):
@@ -102,24 +110,23 @@ def amplitude_polynomial(s, lam, lam_bar):
 def amplitude_series(s, u):
     """``(offsets, p)``, p[i] = p_d(u) for d = offsets[i] on the shape of a real u >= 0,
     each summed from the table's Laguerre series (see the module docstring).  The table
-    L_k^|d|(u) is filled by the state's recurrence plan (``TwoModeFock.series_steps``)."""
+    L_k^|d|(u) is run from the state's recurrence plan (``TwoModeFock.series_steps``)."""
     offsets, series, _ = s.amplitude_table
-    step_a, step_b = s.series_steps
+    a, b = s.series_steps
     lead = (1,) * np.ndim(u)
-    table = np.empty((len(series) + 1,) + offsets.shape + np.shape(u))
-    table[0], table[1] = 0.0, 1.0  # table[k + 1] holds L_k; L_-1 = 0 starts the recurrence
-    laguerre_steps(table, step_a.reshape(step_a.shape + lead) - u,
-                   step_b.reshape(step_b.shape + lead))
-    return offsets, np.add.reduce(series.reshape(series.shape + lead) * table[1:], axis=0)
+    table = laguerre_rows(a.reshape(a.shape + lead), b.reshape(b.shape + lead), u)
+    return offsets, np.add.reduce(series.reshape(series.shape + lead) * table, axis=0)
 
 
 def psi_entangled(s, at):
     """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>."""
+    if not _gaussian(abs(at.xi))[0]:  # |xi| by abs, as below: the envelope's own bits
+        return 0j
     z = at.xi * np.exp(-1j * at.phi)
     u = abs(at.xi) ** 2
     offsets, p = amplitude_series(s, u)
     return complex(np.exp(-u / 2.0) * sum(diagonal_power(d, z, np.conj(z)) * p_d
-                                          for d, p_d in zip(offsets.tolist(), p)))
+                                  for d, p_d in zip(offsets.tolist(), p)))
 
 
 def laguerre_gauss_profile(N, l0, xi, phi=0.0):
@@ -133,8 +140,8 @@ def laguerre_gauss_profile(N, l0, xi, phi=0.0):
     """
     if abs(l0) > N or (N - abs(l0)) % 2 != 0:
         raise ValueError("need |l0| <= N with N - |l0| even")
+    envelope, xi = _gaussian(xi)
     z = np.asarray(xi, dtype=complex) * np.exp(-1j * phi)
     chi = np.conj(z) if l0 > 0 else z
-    mag2 = np.abs(np.asarray(xi)) ** 2
     p = (N - abs(l0)) // 2
-    return np.exp(-mag2 / 2.0) * chi ** abs(l0) * laguerre(p, abs(l0), mag2)
+    return envelope * chi ** abs(l0) * laguerre(p, abs(l0), np.abs(xi) ** 2)

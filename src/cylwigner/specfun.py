@@ -2,10 +2,13 @@
 
 Two families are needed: the bivariate (two-variable) Hermite polynomials
 H_{m,n}, which carry the Fock-basis expansion of the EPR-type eigenstates,
-and the generalized Laguerre polynomials L_p^alpha, which show up in the
-closed-form OAM eigenstate profiles and in displaced-Fock overlaps.  The
-first reduce to the second: H_{m,n}(lam, lam_bar) = (-1)^n n! lam^(m-n)
-L_n^(m-n)(lam lam_bar) for m >= n, and its mirror for m < n.
+and the generalized Laguerre polynomials L_p^alpha of the OAM eigenstate
+profiles, the amplitude series and the displaced-Fock overlaps, all from
+one engine: :func:`laguerre_plan` builds the upward recurrence's x-free
+steps once per state or dim, and :func:`laguerre_rows` runs them into a
+points-last table.  The first reduce to the second: H_{m,n}(lam, lam_bar)
+= (-1)^n n! lam^(m-n) L_n^(m-n)(lam lam_bar) for m >= n, and its mirror
+for m < n.
 
 A whole Fock table's Hermite combination is expanded once, in diagonal form
 (:func:`laguerre_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
@@ -116,37 +119,37 @@ def hermite2(m, n, lam):
     return hermite2_general(m, n, lam, np.conjugate(lam))
 
 
-def laguerre_steps(rows, a, b):
-    """The upward three-term recurrence L_k = (a_k L_(k-1) - b_k L_(k-2)) / k in place:
-    rows[k + 1] holds L_k, so rows[0] (L_-1 = 0) and rows[1] (L_0 = 1) start it.
-    a_k = 2k - 1 + alpha - x and b_k = k - 1 + alpha are a[k - 1] and b[k - 1].  Any table
-    with its degree axis first will do; all three callers put the points last:
-    laguerre_table, entangled.amplitude_series and the 4D oracle (degree + 1, order, value)."""
-    for k, a_k, b_k in zip(range(1, len(rows) - 1), a, b):
+def laguerre_plan(p, alpha):
+    """Read-only x-free step terms ``(a, b)`` of the upward recurrence for L_0^alpha..L_p^alpha,
+    a[k - 1] = 2k - 1 + alpha and b[k - 1] = k - 1 + alpha, each (p,) + alpha's shape."""
+    k = np.arange(1.0, p + 1).reshape((p,) + (1,) * np.ndim(alpha))
+    plan = (2.0 * k - 1 + alpha, k - 1 + alpha)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def laguerre_rows(a, b, x):
+    """L_0..L_p(x) from a :func:`laguerre_plan` over the broadcast of its alpha, of at least x's
+    rank, and x: degree first, points last, float for a real x and complex for a complex one.
+    The one step loop, L_k = ((a_k - x) L_(k-1) - b_k L_(k-2)) / k from L_-1 = 0 and L_0 = 1."""
+    a = a - x  # every step's a_k - x, over the box
+    rows = np.empty((len(a) + 2,) + a.shape[1:], dtype=a.dtype)
+    rows[0], rows[1] = 0.0, 1.0  # rows[k + 1] holds L_k
+    for k, a_k, b_k in zip(range(1, len(a) + 1), a, b):
         np.divide(a_k * rows[k] - b_k * rows[k - 1], k, out=rows[k + 1, ...])
+    return rows[1:]
 
 
 def laguerre_table(p, alpha, x):
-    """Generalized Laguerre polynomials L_n^alpha(x) for every degree n = 0..p.
-
-    One upward three-term recurrence in n (:func:`laguerre_steps`, which the 4D
-    oracle shares) over broadcast arrays of alpha and x, returned with a leading
-    degree axis: float for a real x, complex for a complex one.  It is backward
-    stable on the non-negative real axis.
-    """
+    """Generalized Laguerre polynomials L_n^alpha(x) for every degree n = 0..p, over broadcast
+    arrays of alpha and x, with a leading degree axis: float for a real x, complex for a complex
+    one.  One :func:`laguerre_rows` call on its plan, backward stable on the real axis x >= 0."""
     alpha = np.asarray(alpha)
     if p < 0 or (alpha < 0).any():
         raise ValueError(f"Laguerre indices must be non-negative, got ({p}, {alpha})")
-    x = np.asarray(x)
-    x = x.astype(np.result_type(x, np.float64), copy=False)
-    table = np.zeros((p + 2,) + np.broadcast(alpha, x).shape, dtype=x.dtype)
-    table[1] = 1.0  # table[n + 1] holds L_n; the zero row L_-1 starts the recurrence
-    # every step's 2k - 1 + alpha - x and k - 1 + alpha, over the box (broadcasting is slow)
-    column = (p,) + (1,) * (table.ndim - 1)
-    a = np.arange(1, 2 * p, 2).reshape(column) + alpha - x
-    b = np.add(np.arange(p).reshape(column), alpha, out=np.empty(a.shape))
-    laguerre_steps(table, a, b)
-    return table[1:]
+    alpha = alpha.reshape((1,) * (np.ndim(x) - alpha.ndim) + alpha.shape)  # padded to x's rank
+    return laguerre_rows(*laguerre_plan(p, alpha), x)
 
 
 def laguerre(p, alpha, x):

@@ -12,15 +12,15 @@ quanta (``specfun.check_order_bound``) before they allocate a table.  A
 state expands its entangled-basis amplitude once (``amplitude_table``), as
 Laguerre series for the radial marginal and in monomial form for the
 cylindrical kernel, from one pass, and plans the recurrence that sums the series
-(``series_steps``: its x-free step terms per offset), as the oracle plans each
-dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on
+(``series_steps``, a ``specfun.laguerre_plan`` over its offsets), as the oracle plans
+each dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on
 first use and kept read-only.  States and points compare and hash by identity.
 
 The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell),
 integrates the 4D function over p_r along a ray; ``_wigner_4d`` alone lays out the
 displacements and contracts them in two flat matrix products, of displaced-Fock matrices
-gathered from two points-last tables, powers and Laguerre values (``specfun.laguerre_steps``
-fills the latter), by one read-only plan per dim (``_dim_constants``).
+gathered from two points-last tables, powers and Laguerre values (one
+``specfun.laguerre_rows`` call), by one read-only plan per dim (``_dim_constants``).
 """
 
 import warnings
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import QuadratureResidueError, TruncationWarning
 from .quadrature import deweighted
-from .specfun import check_order_bound, laguerre_diagonals, laguerre_steps
+from .specfun import check_order_bound, laguerre_diagonals, laguerre_plan, laguerre_rows
 
 _NORM_TOL = 1e-10
 
@@ -83,16 +83,10 @@ class TwoModeFock:
 
     @cached_property
     def series_steps(self):
-        """The plan of the Laguerre recurrence that sums ``amplitude_table``'s series,
-        read-only and built once: its x-free step terms 2k - 1 + |d| and k - 1 + |d|, one
-        row per step k = 1..degree and one column per offset d, for
-        :func:`specfun.laguerre_steps`."""
+        """The read-only plan of the Laguerre recurrence that sums ``amplitude_table``'s series:
+        :func:`specfun.laguerre_plan` of its degree, one column per offset d, of order |d|."""
         offsets, series, _ = self.amplitude_table
-        k, alpha = np.arange(1.0, len(series))[:, None], np.abs(offsets)
-        steps = (2.0 * k - 1 + alpha, k - 1 + alpha)
-        for a in steps:
-            a.setflags(write=False)
-        return steps
+        return laguerre_plan(len(series) - 1, np.abs(offsets))
 
     @cached_property
     def parity_tables(self):
@@ -230,16 +224,14 @@ def _dim_constants(dim):
     ratio = sqrt(min! / max!) signed (-1)^(n - m) for m < n, from exact integers (an lgamma
     form is 2.2e-15 off at dim 21), as a (dim, dim, 1) column; the flat index of each (m, n)
     element's power in [alpha^k, conj(alpha)^k] and of its Laguerre value L_min(m,n)^|m-n|
-    in a (degree + 1, order) table whose row 0 is L_-1; and the recurrence's x-free step
-    terms 2k - 1 + order and k - 1 + order, an (order, 1) column per step k = 1..dim - 1."""
+    in a (degree, order) table; and the recurrence's plan (``specfun.laguerre_plan``) for
+    degrees below dim, an (order, 1) column per step."""
     k = np.arange(dim)
     order = np.abs(np.subtract.outer(k, k))
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
               for n in range(dim)] for m in range(dim)]
-    step = k[1:, None, None]
     plan = (np.array(ratio)[..., None], order + dim * np.less.outer(k, k),
-            (np.minimum.outer(k, k) + 1) * dim + order,
-            2.0 * step - 1 + k[:, None], step - 1.0 + k[:, None])
+            np.minimum.outer(k, k) * dim + order) + laguerre_plan(dim - 1, k[:, None])
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -254,7 +246,7 @@ def displaced_fock_matrix(alpha, dim):
     gives the transpose of alpha's matrix, bit for bit.  The per-dim plan
     (_dim_constants) gathers every element from two points-last tables: the powers
     exp(-|alpha|^2 / 2) alpha^k and their conjugates (2 dim, value), and every
-    L_n^order(|alpha|^2), n, order < dim (degree + 1, order, value), from specfun's
+    L_n^order(|alpha|^2), n, order < dim (degree, order, value), from specfun's
     recurrence.  The whole (degree, order) square is filled, not only the triangle
     degree + order < dim that is read: trimmed, it measured 10-16% slower at dims 2-7.
     """
@@ -267,11 +259,8 @@ def displaced_fock_matrix(alpha, dim):
     powers[0], powers[1:dim] = np.exp(aa * -0.5), flat
     np.multiply.accumulate(powers[:dim], axis=0, out=powers[:dim])
     np.conjugate(powers[:dim], out=powers[dim:])
-    lag = np.empty((dim + 1, dim, flat.size))
-    lag[0], lag[1] = 0.0, 1.0
-    laguerre_steps(lag, step_a - aa, step_b)
     # whole rows, read transposed below: a point-by-point gather is slower from dim 16
-    lag = lag.reshape(-1, flat.size).take(laguerre_index, axis=0)
+    lag = laguerre_rows(step_a, step_b, aa).reshape(-1, flat.size).take(laguerre_index, axis=0)
     lag *= ratio
     d = powers.T.take(power_index, axis=-1)
     d *= lag.transpose(2, 0, 1)

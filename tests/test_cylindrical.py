@@ -411,13 +411,14 @@ def test_marginal_radial_refuses_an_r_array():
 
 def test_marginal_radial_realness_check(monkeypatch):
     s = make_summed_oam(2, 6)  # one offset: no conjugate offset to pair a sample's phase
-    exact = entangled.laguerre_steps
+    exact = entangled.laguerre_rows
 
-    def lopsided(rows, a, b):  # breaks the conjugate symmetry of the samples +-r'
-        exact(rows, a, b)
+    def lopsided(a, b, x):  # breaks the conjugate symmetry of the samples +-r'
+        rows = exact(a, b, x)
         rows *= 1.0 + 0.1 * (np.arange(rows.shape[-1]) > rows.shape[-1] // 2)
+        return rows
 
-    monkeypatch.setattr(entangled, "laguerre_steps", lopsided)
+    monkeypatch.setattr(entangled, "laguerre_rows", lopsided)
     with pytest.raises(QuadratureResidueError):
         marginal_radial(s, 1.0)
 

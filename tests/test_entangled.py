@@ -35,6 +35,22 @@ def test_vacuum_amplitude():
         assert got == pytest.approx(np.exp(-abs(xi) ** 2 / 2.0), rel=1e-13)
 
 
+def test_wavefunctions_are_zero_where_the_envelope_underflows():
+    # past |xi| ~ 38.6 exp(-|xi|^2 / 2) is 0, and so is the value: not a nan where the
+    # polynomial overflows, nor an OverflowError where abs(xi) ** 2 does
+    s = make_superposition(3, -3, 0.4, 9)
+    for xi in (1e100, 1e200, -1e200j):
+        assert psi_entangled(s, EntangledArg(xi, 0.3)) == 0
+        assert xi_fock_overlap(xi, 3, 2) == 0
+        assert laguerre_gauss_profile(4, 2, xi) == 0
+    xi = np.array([0.5 - 1.2j, 1e100, 38.0, 1e200j, -3.0])
+    near = [0, 2, 4]
+    for f in (lambda v: xi_fock_overlap(v, 3, 2), lambda v: laguerre_gauss_profile(4, 2, v)):
+        got = f(xi)
+        assert not got[[1, 3]].any() and got[near].all()
+        assert got[near].tobytes() == f(xi[near]).tobytes()
+
+
 def test_basis_state_matches_overlap(rng):
     # psi of a Fock basis vector is exactly the single <xi|n+,n-> overlap
     for np_, nm in [(0, 1), (2, 0), (2, 3)]:
