@@ -29,7 +29,7 @@ from .errors import OrderBoundError
 #: when its table is built (the constructors check it before they allocate).
 #: The coefficients stay finite far past it, but the contour-shifted
 #: cylindrical sum loses accuracy long before it: 1.82e-5 relative at 20
-#: total quanta and 1.36e-3 at 26 (sample worsts of summed states, seeds 0-13
+#: total quanta and 2.63e-3 at 26 (sample worsts of summed states, seeds 0-13
 #: in README), wrong values from about 30 (ROADMAP).
 MAX_TOTAL_ORDER = 60
 

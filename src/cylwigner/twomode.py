@@ -16,8 +16,8 @@ cylindrical kernel, from one pass, and plans the recurrence that sums the series
 each dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on
 first use and kept read-only.  States and points compare and hash by identity.
 
-The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell),
-integrates the 4D function over p_r along a ray; ``_wigner_4d`` alone lays out the
+The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell), integrates
+the 4D function over p_r along a ray, as one ``math.fsum``; ``_wigner_4d`` alone lays out the
 displacements and contracts them in two flat matrix products, of displaced-Fock matrices
 gathered from two points-last tables, powers and Laguerre values (one
 ``specfun.laguerre_rows`` call), by one read-only plan per dim (``_dim_constants``).
@@ -26,7 +26,7 @@ gathered from two points-last tables, powers and Laguerre values (one
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, cos, exp, factorial, isfinite, lgamma, pi, sin, sqrt
+from math import comb, cos, exp, factorial, fsum, isfinite, lgamma, pi, sin, sqrt
 
 import numpy as np
 
@@ -325,9 +325,9 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     Maps (r, phi, ell, p_r) to Cartesian coordinates by the canonical
     (unit-Jacobian) transformation and integrates with a de-weighted
     Gauss-Hermite rule, which is exact here because the 4D Wigner function
-    of a truncated state is a polynomial under a Gaussian in p_r.  All the
-    nodes go to one batched 4D evaluation.  The ratio wigner_cyl / oracle
-    is the single global constant cylindrical.KAPPA.
+    of a truncated state is a polynomial under a Gaussian in p_r.  All the nodes go
+    to one batched 4D evaluation, whose weighted values ``math.fsum`` sums correctly
+    rounded.  The ratio wigner_cyl / oracle is the one global constant cylindrical.KAPPA.
     """
     weights = deweighted(pr_rule)  # refuses a rule other than Gauss-Hermite
     r, phi = at.r, at.phi
@@ -342,7 +342,4 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     # no far-displacement warning: the overlap is exact for the truncated table, and the
     # warning, aimed at users approximating untruncated states, would fire at far nodes
     vals = _wigner_4d(s, complex(sn, c) * pr_rule.nodes + lam * rot, r * rot, terms=True)
-    total = 0.0
-    for term in (weights * vals).tolist():  # node order, left to right
-        total += term
-    return float(total)
+    return fsum((weights * vals).tolist())

@@ -79,6 +79,20 @@ def test_json_spec_hole_exit_2(capsys):
     assert json.loads(err)["error"] == "SpecParseError"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "raw", "coeffs": []}', "raw spec needs at least one coefficient"),
+    ('{"kind": "bogus"}', "unknown state kind 'bogus'"),
+    ('{"kind": "raw", "coeffs": [[0, 0, 1]], "x": 1}', "unexpected keys for raw: ['x']"),
+    ('{"kind": "raw", "coeffs": [[0, 0]]}', "bad raw coefficient entry [0, 0]"),
+], ids=["no-coefficient", "unknown-kind", "unexpected-key", "bad-entry"])
+def test_json_spec_refusal_exit_2_with_its_message(capsys, text, message):
+    code, out, err = run(capsys, ["wigner-cyl", "--state", text])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["exit"] == 2 and record["error"] == "SpecParseError"
+    assert record["message"].startswith(message)
+
+
 def test_precondition_exit_3_parity(capsys):
     code, _, err = run(capsys, ["wigner-cyl", "--state", "eigenstate N=3 l0=2"])
     assert code == 3
@@ -99,6 +113,17 @@ def test_precondition_exit_3_grid(capsys):
     ])
     assert code == 3
     assert "r_min" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("axes, message", [
+    (["--r-min", "2", "--r-max", "1"], "r_max must exceed r_min"),
+    (["--nr", "0"], "grid must have at least one node per axis"),
+    (["--lmin", "3", "--lmax", "1"], "ell_min must not exceed ell_max"),
+], ids=["r-max-below-r-min", "no-r-node", "lmin-above-lmax"])
+def test_grid_axes_refusal_exit_3(capsys, axes, message):
+    code, out, err = run(capsys, ["wigner-cyl", "--state", VACUUM] + axes)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "exit": 3, "message": message}
 
 
 @pytest.mark.parametrize("bound", [["--r-max", "inf"], ["--r-min", "nan"]])
@@ -181,6 +206,15 @@ def test_oracle_check_needs_a_point_exit_3(capsys, n):
     code, _, err = run(capsys, ["oracle-check", "--state", VACUUM, "--n-points", n])
     assert code == 3
     assert "n_points" in json.loads(err)["message"]
+
+
+def test_oracle_check_with_no_usable_point_exit_4(capsys):
+    # seed 34's one point lies at r = 0.507, ell = -3, where the vacuum is e^-35: both vanish
+    code, out, _ = run(capsys, ["oracle-check", "--state", "eigenstate N=0 l0=0",
+                                "--n-points", "1", "--seed", "34"])
+    assert code == 4
+    skipped, last = out.splitlines()
+    assert skipped.endswith("skipped (both routes vanish)") and last == "no usable points"
 
 
 def test_oracle_check_vacuum_passes(capsys):

@@ -226,6 +226,14 @@ def test_grid_axis_validation():
         wigner_cyl_grid(s, [0.0, 1.0], [0.0], [0])
 
 
+def test_grid_refuses_values_that_do_not_fit_its_axes():
+    axes = (np.array([1.0, 2.0]), np.array([0.0]), np.array([0]))
+    with pytest.raises(ValueError, match="does not match axes"):
+        CylGrid(*axes, np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        CylGrid(*axes, np.array([[[0.5]], [[np.nan]]]))
+
+
 def test_marginal_angle_oam_vacuum():
     s = vacuum_state()
     rule = gauss_legendre_mapped(128, 1e-8, 8.0)

@@ -1,16 +1,17 @@
 import itertools
-from math import cos, exp, isfinite, pi, sin, sqrt
+from math import cos, exp, fsum, isfinite, pi, sin, sqrt
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cylwigner import (KAPPA, CartesianPoint4, CylPoint, TwoModeFock, expectation_N_L,
-                       gauss_hermite, make_N_l_eigenstate, make_summed_oam,
+from cylwigner import (KAPPA, CartesianPoint4, CylPoint, TwoModeFock, default_rule,
+                       expectation_N_L, gauss_hermite, make_N_l_eigenstate, make_summed_oam,
                        make_superposition, mode_rotate_xy_to_pm, oracle_cyl_from_cartesian,
                        rotate_state, wigner_4d)
 from cylwigner import twomode
 from cylwigner.errors import QuadratureResidueError, TruncationWarning
+from cylwigner.quadrature import deweighted
 from cylwigner.specfun import laguerre_table
 from cylwigner.twomode import displaced_fock_matrix
 
@@ -341,6 +342,22 @@ def test_wigner_4d_judges_a_value_against_its_terms(monkeypatch):
     assert t == pytest.approx(-5.74156085080273, rel=1e-14)
     got = wigner_4d(s, CartesianPoint4(at.r * c, t * c - lam * sn, at.r * sn, t * sn + lam * c))
     assert isfinite(got) and abs(got - nodes[0][13]) <= 1e-12 * 1.03e-2
+
+
+def test_oracle_is_the_correctly_rounded_sum_of_its_weighted_nodes(monkeypatch):
+    # crosscheck's seed-1 vacuum point: a left-to-right sum of its 8 terms reads
+    # 0.0003102062258723189, one ulp above the correctly rounded 0.00031020622587231883
+    s, at = make_N_l_eigenstate(0, 0), CylPoint(r=2.058413979988723, phi=5.448817879563926, ell=3)
+    rule = default_rule(s)
+    nodes, exact = [], twomode._wigner_4d
+
+    def recorded(*args, **kwargs):
+        nodes.append(exact(*args, **kwargs))
+        return nodes[-1]
+
+    monkeypatch.setattr(twomode, "_wigner_4d", recorded)
+    got = oracle_cyl_from_cartesian(s, at, rule)
+    assert got == fsum((deweighted(rule) * nodes[0]).tolist())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 16, 21, 31])
