@@ -50,7 +50,7 @@ two routes agree up to one global constant (empirically 4 pi^2, see KAPPA).
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from math import floor, hypot, isfinite, pi, sqrt
+from math import ceil, floor, hypot, isfinite, pi, sqrt
 from operator import add
 
 import numpy as np
@@ -313,15 +313,18 @@ def _radial_sum(s, r, fine=False):
         return 0.0, pi * r
     q = 1.0 if fine else 1.0 / (x * r)  # the largest admissible m, inf at a subnormal r
     h = pi * r * max(1, floor(q)) if isfinite(q) else pi / x
-    rp = h * np.arange(-np.ceil(x / h), np.ceil(x / h) + 1)
-    u = r * r + rp * rp
+    rp = np.arange(-ceil(x / h), ceil(x / h) + 1) * h
+    u = rp * rp
+    u += r * r
     offsets, p = amplitude_series(s, u)
     # ket_d bra_d = diagonal_power(2 d, xi, conj(xi)) |p_d(u)|^2, with xi = r + i r'
-    offsets = offsets.tolist()
-    xi = r + 1j * rp if any(offsets) else None
-    terms = reduce(add, (diagonal_power(2 * d, xi, xi.conj()) * sq if d else sq
-                         for d, sq in zip(offsets, p.real ** 2 + p.imag ** 2)))
-    terms = np.exp(-u) * terms
+    offsets, sq = offsets.tolist(), (p * p.conj()).real
+    terms = sq[0]  # the one offset 0, with no power
+    if any(offsets):
+        xi = r + 1j * rp
+        terms = reduce(add, (diagonal_power(2 * d, xi, xi.conj()) * sq_d if d else sq_d
+                             for d, sq_d in zip(offsets, sq)))
+    terms *= np.exp(-u)
     total = np.add.reduce(terms)
     scale = np.add.reduce(np.abs(terms))
     # written so that a nan fails both tests
@@ -353,5 +356,4 @@ def marginal_radial(s, r, ell_max=None):
         raise ValueError("r must be a scalar")
     if not (isfinite(r) and r > 0):
         raise ValueError("r must be strictly positive")
-    r = float(r)
-    return _radial_sum(s, r)[0]
+    return _radial_sum(s, float(r))[0]

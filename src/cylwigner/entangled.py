@@ -13,10 +13,11 @@ of the monomial form in u = lam lam_bar, for every OAM value at once, in place f
 its first step c_0 u + c_1; the bra side, the conjugate ket at conjugated arguments,
 is the ket at the mirrored node.  At a real u >= 0, where the monomial form cancels,
 :func:`amplitude_series` sums the Laguerre series instead, for psi_entangled and the
-radial marginal: one :func:`specfun.laguerre_rows` call runs its Laguerre table from the
-state's read-only recurrence plan (``TwoModeFock.series_steps``, a
-:func:`specfun.laguerre_plan`).  A single Fock overlap (:func:`xi_fock_overlap`) evaluates
-one Hermite polynomial through the same Laguerre reduction (:func:`specfun.hermite2`).
+radial marginal: one :func:`specfun.laguerre_rows` call, three array operations a step,
+runs its Laguerre table from the state's read-only (a, k, c) recurrence plan
+(``TwoModeFock.series_steps``, a :func:`specfun.laguerre_plan`).  A single Fock overlap
+(:func:`xi_fock_overlap`) evaluates one Hermite polynomial through the same Laguerre
+reduction (:func:`specfun.hermite2`).
 """
 
 from dataclasses import dataclass
@@ -112,9 +113,8 @@ def amplitude_series(s, u):
     each summed from the table's Laguerre series (see the module docstring).  The table
     L_k^|d|(u) is run from the state's recurrence plan (``TwoModeFock.series_steps``)."""
     offsets, series, _ = s.amplitude_table
-    a, b = s.series_steps
     lead = (1,) * np.ndim(u)
-    table = laguerre_rows(a.reshape(a.shape + lead), b.reshape(b.shape + lead), u)
+    table = laguerre_rows(*(t.reshape(t.shape + lead) for t in s.series_steps), u)
     return offsets, np.add.reduce(series.reshape(series.shape + lead) * table, axis=0)
 
 

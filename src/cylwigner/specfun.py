@@ -1,14 +1,14 @@
 """Polynomial special functions used by the entangled-basis machinery.
 
-Two families are needed: the bivariate (two-variable) Hermite polynomials
-H_{m,n}, which carry the Fock-basis expansion of the EPR-type eigenstates,
-and the generalized Laguerre polynomials L_p^alpha of the OAM eigenstate
-profiles, the amplitude series and the displaced-Fock overlaps, all from
-one engine: :func:`laguerre_plan` builds the upward recurrence's x-free
-steps once per state or dim, and :func:`laguerre_rows` runs them into a
-points-last table.  The first reduce to the second: H_{m,n}(lam, lam_bar)
-= (-1)^n n! lam^(m-n) L_n^(m-n)(lam lam_bar) for m >= n, and its mirror
-for m < n.
+Two families are needed: the bivariate (two-variable) Hermite polynomials H_{m,n}, which
+carry the Fock-basis expansion of the EPR-type eigenstates, and the generalized Laguerre
+polynomials L_p^alpha of the OAM eigenstate profiles, the amplitude series and the
+displaced-Fock overlaps, all from one engine: :func:`laguerre_plan` builds the upward
+recurrence's x-free steps a = 2k - 1 + alpha, k and c = -(k - 1 + alpha)/k once per state
+or dim, and :func:`laguerre_rows` runs them into a points-last table, each step
+L_k = A_k L_(k-1) + c_k L_(k-2), A = (a - x)/k, in three array operations.  The first
+reduce to the second: H_{m,n}(lam, lam_bar) = (-1)^n n! lam^(m-n) L_n^(m-n)(lam lam_bar)
+for m >= n, and its mirror for m < n.
 
 A whole Fock table's Hermite combination is expanded once, in diagonal form
 (:func:`laguerre_diagonals`): every monomial lam^i lam_bar^j of H_{m,n} has
@@ -120,25 +120,34 @@ def hermite2(m, n, lam):
 
 
 def laguerre_plan(p, alpha):
-    """Read-only x-free step terms ``(a, b)`` of the upward recurrence for L_0^alpha..L_p^alpha,
-    a[k - 1] = 2k - 1 + alpha and b[k - 1] = k - 1 + alpha, each (p,) + alpha's shape."""
+    """Read-only x-free step terms ``(a, k, c)`` of the upward recurrence for L_0^alpha..L_p^alpha,
+    a[k - 1] = 2k - 1 + alpha, k and c[k - 1] = -(k - 1 + alpha) / k, each (p,) + alpha's shape."""
     k = np.arange(1.0, p + 1).reshape((p,) + (1,) * np.ndim(alpha))
-    plan = (2.0 * k - 1 + alpha, k - 1 + alpha)
-    for a in plan:
-        a.setflags(write=False)
+    a = 2.0 * k - 1 + alpha
+    plan = (a, k + 0.0 * a, -(k - 1 + alpha) / k)  # k over alpha's shape, as a is
+    for t in plan:
+        t.setflags(write=False)
     return plan
 
 
-def laguerre_rows(a, b, x):
+def laguerre_rows(a, k, c, x):
     """L_0..L_p(x) from a :func:`laguerre_plan` over the broadcast of its alpha, of at least x's
     rank, and x: degree first, points last, float for a real x and complex for a complex one.
-    The one step loop, L_k = ((a_k - x) L_(k-1) - b_k L_(k-2)) / k from L_-1 = 0 and L_0 = 1."""
-    a = a - x  # every step's a_k - x, over the box
-    rows = np.empty((len(a) + 2,) + a.shape[1:], dtype=a.dtype)
-    rows[0], rows[1] = 0.0, 1.0  # rows[k + 1] holds L_k
-    for k, a_k, b_k in zip(range(1, len(a) + 1), a, b):
-        np.divide(a_k * rows[k] - b_k * rows[k - 1], k, out=rows[k + 1, ...])
-    return rows[1:]
+    The one step loop, L_k = A_k L_(k-1) + c_k L_(k-2) from L_-1 = 0 and L_0 = 1, is three
+    array operations a step on operands of one shape: A = (a - x) / k and c laid over the box."""
+    step_a = (a - x)[:, None]  # a unit axis, so that even a scalar x's rows are arrays
+    step_a /= k[:, None]
+    step_c = np.empty_like(step_a)
+    step_c[:, 0] = c
+    rows = np.empty((len(step_a) + 2,) + step_a.shape[1:], dtype=step_a.dtype)
+    rows[0], rows[1] = 0.0, 1.0  # rows[k + 1, 0] holds L_k
+    slab, prev, cur = np.empty_like(rows[0]), rows[0], rows[1]
+    for a_k, c_k, nxt in zip(step_a, step_c, rows[2:]):
+        np.multiply(a_k, cur, nxt)
+        np.multiply(c_k, prev, slab)
+        nxt += slab
+        prev, cur = cur, nxt
+    return rows[1:, 0]
 
 
 def laguerre_table(p, alpha, x):
@@ -155,6 +164,4 @@ def laguerre_table(p, alpha, x):
 def laguerre(p, alpha, x):
     """Generalized Laguerre polynomial L_p^alpha(x): the last row of :func:`laguerre_table`."""
     cur = laguerre_table(p, alpha, x)[p]
-    if cur.ndim == 0:
-        return cur.item()
-    return cur
+    return cur.item() if cur.ndim == 0 else cur

@@ -5,22 +5,22 @@ numbers of the circular (chirality) mode pair in which both the total
 number N = n+ + n- and the OAM L = n+ - n- act diagonally.  The Cartesian
 x/y mode basis enters only through ``mode_rotate_xy_to_pm``.
 
-A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta
-by construction: both are checked once, when the table is built, so no
-evaluator re-checks them.  The constructors check the bound on their top
-quanta (``specfun.check_order_bound``) before they allocate a table.  A
-state expands its entangled-basis amplitude once (``amplitude_table``), as
-Laguerre series for the radial marginal and in monomial form for the
-cylindrical kernel, from one pass, and plans the recurrence that sums the series
-(``series_steps``, a ``specfun.laguerre_plan`` over its offsets), as the oracle plans
-each dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on
-first use and kept read-only.  States and points compare and hash by identity.
+A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta by construction:
+both are checked once, when the table is built, so no evaluator re-checks them; the
+constructors check the bound on their top quanta (``specfun.check_order_bound``) before they
+allocate a table.  A state expands its entangled-basis amplitude once (``amplitude_table``),
+as Laguerre series for the radial marginal and in monomial form for the cylindrical kernel,
+and plans the recurrence that sums the series (``series_steps``, the (a, k, c) steps of
+``specfun.laguerre_plan``), as the oracle plans each dim; the 4D oracle reads its parity
+tables (``parity_tables``).  All are built on first use and kept read-only.  States and
+points compare and hash by identity.
 
 The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell), integrates
-the 4D function over p_r along a ray, as one ``math.fsum``; ``_wigner_4d`` alone lays out the
-displacements and contracts them in two flat matrix products, of displaced-Fock matrices
+the 4D function over p_r along a ray, as one ``math.fsum``; ``_wigner_4d`` alone lays out
+the displacements and contracts them in two flat matrix products, of displaced-Fock matrices
 gathered from two points-last tables, powers and Laguerre values (one
-``specfun.laguerre_rows`` call), by one read-only plan per dim (``_dim_constants``).
+``specfun.laguerre_rows`` call, three array operations a step), by one read-only plan per
+dim (``_dim_constants``).
 """
 
 import warnings
@@ -83,8 +83,8 @@ class TwoModeFock:
 
     @cached_property
     def series_steps(self):
-        """The read-only plan of the Laguerre recurrence that sums ``amplitude_table``'s series:
-        :func:`specfun.laguerre_plan` of its degree, one column per offset d, of order |d|."""
+        """The read-only (a, k, c) plan of the Laguerre recurrence that sums ``amplitude_table``'s
+        series: :func:`specfun.laguerre_plan` of its degree, one column per offset d, order |d|."""
         offsets, series, _ = self.amplitude_table
         return laguerre_plan(len(series) - 1, np.abs(offsets))
 
@@ -224,8 +224,8 @@ def _dim_constants(dim):
     ratio = sqrt(min! / max!) signed (-1)^(n - m) for m < n, from exact integers (an lgamma
     form is 2.2e-15 off at dim 21), as a (dim, dim, 1) column; the flat index of each (m, n)
     element's power in [alpha^k, conj(alpha)^k] and of its Laguerre value L_min(m,n)^|m-n|
-    in a (degree, order) table; and the recurrence's plan (``specfun.laguerre_plan``) for
-    degrees below dim, an (order, 1) column per step."""
+    in a (degree, order) table; and the recurrence's (a, k, c) plan (``specfun.laguerre_plan``)
+    for degrees below dim, an (order, 1) column per step."""
     k = np.arange(dim)
     order = np.abs(np.subtract.outer(k, k))
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
@@ -250,7 +250,7 @@ def displaced_fock_matrix(alpha, dim):
     recurrence.  The whole (degree, order) square is filled, not only the triangle
     degree + order < dim that is read: trimmed, it measured 10-16% slower at dims 2-7.
     """
-    ratio, power_index, laguerre_index, step_a, step_b = _dim_constants(dim)
+    ratio, power_index, laguerre_index, *steps = _dim_constants(dim)
     flat = np.asarray(alpha, dtype=complex).reshape(-1)
     aa = flat.real ** 2 + flat.imag ** 2
     # m >= n: alpha^(m-n) L_n^(m-n);  m < n: (-conj alpha)^(n-m) L_m^(n-m), its sign in ratio;
@@ -260,7 +260,7 @@ def displaced_fock_matrix(alpha, dim):
     np.multiply.accumulate(powers[:dim], axis=0, out=powers[:dim])
     np.conjugate(powers[:dim], out=powers[dim:])
     # whole rows, read transposed below: a point-by-point gather is slower from dim 16
-    lag = laguerre_rows(step_a, step_b, aa).reshape(-1, flat.size).take(laguerre_index, axis=0)
+    lag = laguerre_rows(*steps, aa).reshape(-1, flat.size).take(laguerre_index, axis=0)
     lag *= ratio
     d = powers.T.take(power_index, axis=-1)
     d *= lag.transpose(2, 0, 1)

@@ -421,8 +421,8 @@ def test_marginal_radial_realness_check(monkeypatch):
     s = make_summed_oam(2, 6)  # one offset: no conjugate offset to pair a sample's phase
     exact = entangled.laguerre_rows
 
-    def lopsided(a, b, x):  # breaks the conjugate symmetry of the samples +-r'
-        rows = exact(a, b, x)
+    def lopsided(a, k, c, x):  # breaks the conjugate symmetry of the samples +-r'
+        rows = exact(a, k, c, x)
         rows *= 1.0 + 0.1 * (np.arange(rows.shape[-1]) > rows.shape[-1] // 2)
         return rows
 

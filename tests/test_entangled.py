@@ -289,7 +289,9 @@ def test_series_plan_is_cached_and_read_only():
     plan = s.series_steps
     assert s.series_steps is plan
     k, alpha = np.arange(1, len(series))[:, None], np.abs(offsets)
-    for got, want in zip(plan, (2 * k - 1 + alpha, k - 1 + alpha)):
+    want_plan = (2 * k - 1 + alpha, k + 0 * alpha, -(k - 1 + alpha) / k)
+    assert len(plan) == len(want_plan)
+    for got, want in zip(plan, want_plan):
         assert got.dtype == float and np.array_equal(got, want)
         with pytest.raises(ValueError):
             got[0, 0] = 0.0

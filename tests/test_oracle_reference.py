@@ -36,7 +36,7 @@ CASES = [spec for quanta in (20, 40, 60) for spec in (
     f"eigenstate N={quanta} l0={quanta // 10 - 4}",
     f"raw {quanta}")]
 #: bound on |KAPPA oracle - ref| / |ref| by total quanta.  The measured worsts are 7.4e-14,
-#: 1.4e-13 and 4.1e-12, the last at a superposition point where W = 2.6e-5 passes near zero
+#: 1.6e-13 and 2.7e-13, the last at a superposition point where W = 2.6e-5 passes near zero
 TOLERANCE = {20: 2e-13, 40: 5e-13, 60: 1e-11}
 
 

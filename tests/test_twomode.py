@@ -193,8 +193,8 @@ def test_oracle_laguerre_values_are_laguerre_table_bit_for_bit(rng, monkeypatch,
     # is laguerre_table's
     tables, exact = [], twomode.laguerre_rows
 
-    def recorded(a, b, x):
-        tables.append(exact(a, b, x))
+    def recorded(a, k, c, x):
+        tables.append(exact(a, k, c, x))
         return tables[-1]
 
     monkeypatch.setattr(twomode, "laguerre_rows", recorded)
