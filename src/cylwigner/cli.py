@@ -7,7 +7,6 @@ Output is byte-deterministic for fixed inputs.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -87,6 +86,7 @@ def write_grid_csv(fh, spec, quad_order, grid):
 
 
 def write_grid_json(fh, spec, quad_order, grid):
+    import json  # noqa: PLC0415 - a CSV export never needs it
     # json.dump(doc, fh, indent=1, sort_keys=True)'s bytes, one r plane at a time: every
     # header key sorts before "values", so the header's dump, less its "\n}", comes first
     header = json.dumps({
@@ -129,9 +129,10 @@ def cmd_oracle_check(state, n_points=10, seed=0):
                       int(rng.integers(-ORACLE_ELL_SPAN, ORACLE_ELL_SPAN + 1)))
         direct = wigner_cyl(state, pt)
         brute = oracle_cyl_from_cartesian(state, pt, rule)
-        if abs(brute) < 1e-12:
+        # a tiny W is still a ratio: only a route that underflows to 0 gives none
+        if direct == 0.0 or brute == 0.0:
             print(f"r={pt.r:.4f} phi={pt.phi:.4f} ell={pt.ell:+d}  "
-                  "skipped (both routes vanish)")
+                  "skipped (a route underflows to 0)")
             continue
         ratio = direct / brute
         ratios.append(ratio)
@@ -148,6 +149,7 @@ def cmd_oracle_check(state, n_points=10, seed=0):
 
 
 def _error_record(code, exc):
+    import json  # noqa: PLC0415
     return json.dumps({"error": type(exc).__name__, "exit": code, "message": str(exc)})
 
 

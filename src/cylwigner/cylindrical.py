@@ -48,13 +48,13 @@ two routes agree up to one global constant (empirically 4 pi^2, see KAPPA).
 """
 
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from math import ceil, floor, hypot, isfinite, pi, sqrt
 from operator import add
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .entangled import amplitude_series, amplitude_terms, wrap_phi
 from .errors import ConvergenceError, QuadratureResidueError, TruncationWarning
 from .quadrature import QuadKind, gauss_hermite
@@ -73,23 +73,18 @@ KAPPA = 4.0 * pi ** 2
 DEFAULT_R_MIN = 1e-3
 
 
-@dataclass(frozen=True)
-class CylPoint:
+class CylPoint(ValueRecord):
     """Evaluation point (float r > 0, phi in [0, 2pi), integer ell)."""
 
-    r: float
-    phi: float
-    ell: int
+    _fields = ("r", "phi", "ell")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r > 0):
+    def __init__(self, r, phi, ell):
+        if not (np.isfinite(r) and r > 0):
             raise ValueError("r must be strictly positive")
-        if not np.isfinite(self.phi):
+        if not np.isfinite(phi):
             raise ValueError("phi must be finite")
-        _integer_ell(self.ell)
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "phi", float(wrap_phi(float(self.phi))))
-        object.__setattr__(self, "ell", int(self.ell))
+        _integer_ell(ell)
+        self._store(float(r), float(wrap_phi(float(phi))), int(ell))
 
 
 def _integer_ell(ell):
@@ -122,21 +117,18 @@ def _one_value(x):
     return isinstance(x, (int, float)) or np.ndim(x) == 0
 
 
-@dataclass(frozen=True, eq=False)
-class CylGrid:
+class CylGrid(Record):
     """Dense evaluation result, values indexed as [r, phi, ell]."""
 
-    r_nodes: np.ndarray
-    phi_nodes: np.ndarray
-    ell_values: np.ndarray
-    values: np.ndarray
+    _fields = ("r_nodes", "phi_nodes", "ell_values", "values")
 
-    def __post_init__(self):
-        shape = (len(self.r_nodes), len(self.phi_nodes), len(self.ell_values))
-        if self.values.shape != shape:
-            raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, r_nodes, phi_nodes, ell_values, values):
+        shape = (len(r_nodes), len(phi_nodes), len(ell_values))
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} does not match axes {shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("grid contains non-finite values")
+        self._store(r_nodes, phi_nodes, ell_values, values)
 
 
 def default_rule(s):

@@ -20,25 +20,23 @@ runs its Laguerre table from the state's read-only (a, k, c) recurrence plan
 reduction (:func:`specfun.hermite2`).
 """
 
-from dataclasses import dataclass
 from math import lgamma, pi
 
 import numpy as np
 
+from ._record import ValueRecord
 from .specfun import diagonal_power, hermite2, laguerre, laguerre_rows
 
 
-@dataclass(frozen=True)
-class EntangledArg:
+class EntangledArg(ValueRecord):
     """Evaluation point: complex basis eigenvalue xi and azimuth phi."""
 
-    xi: complex
-    phi: float = 0.0
+    _fields = ("xi", "phi")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.xi) and np.isfinite(self.phi)):
+    def __init__(self, xi, phi=0.0):
+        if not (np.isfinite(xi) and np.isfinite(phi)):
             raise ValueError("entangled-basis arguments must be finite")
-        object.__setattr__(self, "phi", float(wrap_phi(float(self.phi))))
+        self._store(xi, float(wrap_phi(float(phi))))
 
 
 def wrap_phi(phi):

@@ -14,13 +14,12 @@ then the total-quanta bound MAX_TOTAL_ORDER before they allocate a table.
 """
 
 import cmath
-import json
-from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
 import numpy as np
 
+from ._record import ValueRecord
 from .errors import SpecParseError
 from .specfun import check_order_bound
 from .twomode import TwoModeFock, make_N_l_eigenstate, make_summed_oam, make_superposition
@@ -33,10 +32,11 @@ class StateKind(Enum):
     RAW_COEFFS = "raw"
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    kind: StateKind
-    params: dict
+class StateSpec(ValueRecord):
+    _fields = ("kind", "params")
+
+    def __init__(self, kind, params):
+        self._store(kind, params)
 
     def __hash__(self):
         """Consistent with ==: the parameters as a frozenset, a raw table's entries too."""
@@ -182,6 +182,7 @@ def _parse_keyvalue(text):
 
 
 def _parse_json(text):
+    import json  # noqa: PLC0415 - the key=value grammar, and so most runs, never need it
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

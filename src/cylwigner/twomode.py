@@ -24,12 +24,12 @@ dim (``_dim_constants``).
 """
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, cos, exp, factorial, fsum, isfinite, lgamma, pi, sin, sqrt
 
 import numpy as np
 
+from ._record import Record
 from .errors import QuadratureResidueError, TruncationWarning
 from .quadrature import deweighted
 from .specfun import check_order_bound, laguerre_diagonals, laguerre_plan, laguerre_rows
@@ -37,18 +37,17 @@ from .specfun import check_order_bound, laguerre_diagonals, laguerre_plan, lague
 _NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class TwoModeFock:
+class TwoModeFock(Record):
     """Normalized complex coefficient table c[n_plus, n_minus], 0 <= n <= cutoff,
     with at most MAX_TOTAL_ORDER total quanta."""
 
-    coeffs: np.ndarray
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+    def __init__(self, coeffs):
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient table must be a square 2D array")
-        object.__setattr__(self, "coeffs", c)
+        self._store(c)
         c.setflags(write=False)
         if not self.is_normalized:
             raise ValueError("state must be normalized")
@@ -99,19 +98,16 @@ class TwoModeFock:
         return tables
 
 
-@dataclass(frozen=True, eq=False)
-class CartesianPoint4:
+class CartesianPoint4(Record):
     """A point of the two-mode phase space, or a batch: arrays that broadcast together."""
 
-    x: float
-    p_x: float
-    y: float
-    p_y: float
+    _fields = ("x", "p_x", "y", "p_y")
 
-    def __post_init__(self):
-        for v in (self.x, self.p_x, self.y, self.p_y):
+    def __init__(self, x, p_x, y, p_y):
+        for v in (x, p_x, y, p_y):
             if not np.isfinite(v).all():
                 raise ValueError("phase-space coordinates must be finite")
+        self._store(x, p_x, y, p_y)
 
 
 def make_N_l_eigenstate(N, l0):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwigner import CylPoint, __version__, default_rule, wigner_cyl, wigner_cyl_grid
+from cylwigner import CylPoint, __version__, cli, default_rule, wigner_cyl, wigner_cyl_grid
 from cylwigner.cli import _fmt, main, write_grid_csv, write_grid_json
 from cylwigner.statespec import build_state, parse_state_spec, serialize_state_spec
 
@@ -208,13 +208,42 @@ def test_oracle_check_needs_a_point_exit_3(capsys, n):
     assert "n_points" in json.loads(err)["message"]
 
 
-def test_oracle_check_with_no_usable_point_exit_4(capsys):
-    # seed 34's one point lies at r = 0.507, ell = -3, where the vacuum is e^-35: both vanish
+def test_oracle_check_uses_a_tiny_but_accurate_point(capsys):
+    # seed 34's one point lies at r = 0.507, ell = -3, where the vacuum is 3.3e-15:
+    # tiny, yet both routes agree on it to the last digits, so it is a usable point
     code, out, _ = run(capsys, ["oracle-check", "--state", "eigenstate N=0 l0=0",
                                 "--n-points", "1", "--seed", "34"])
-    assert code == 4
-    skipped, last = out.splitlines()
-    assert skipped.endswith("skipped (both routes vanish)") and last == "no usable points"
+    assert code == 0
+    point, last = out.splitlines()
+    assert float(point.split("ratio=")[1]) == pytest.approx(4 * pi ** 2, rel=1e-12)
+    assert last.endswith("PASS")
+
+
+def test_oracle_check_skips_a_route_that_underflows(capsys, monkeypatch):
+    calls = []
+
+    def zero_on_second_call(*args):
+        calls.append(args)
+        return 0.0 if len(calls) == 2 else oracle(*args)
+
+    oracle = cli.oracle_cyl_from_cartesian
+    monkeypatch.setattr(cli, "oracle_cyl_from_cartesian", zero_on_second_call)
+    code, out, _ = run(capsys, ["oracle-check", "--state", VACUUM, "--n-points", "3",
+                                "--seed", "3"])
+    lines = out.splitlines()
+    assert code == 0 and len(calls) == 3 and len(lines) == 4
+    assert lines[1].endswith("skipped (a route underflows to 0)")
+    assert "ratio=" in lines[0] and "ratio=" in lines[2] and lines[3].endswith("PASS")
+
+
+def test_oracle_check_with_no_usable_point_exit_4(capsys, monkeypatch):
+    # the direct route underflows at every point, so no ratio: exit 4, not a division by 0
+    monkeypatch.setattr(cli, "wigner_cyl", lambda *args: 0.0)
+    code, out, err = run(capsys, ["oracle-check", "--state", VACUUM, "--n-points", "2"])
+    assert code == 4 and err == ""
+    *skipped, last = out.splitlines()
+    assert len(skipped) == 2 and last == "no usable points"
+    assert all(line.endswith("skipped (a route underflows to 0)") for line in skipped)
 
 
 def test_oracle_check_vacuum_passes(capsys):
@@ -363,9 +392,13 @@ def test_order_bound_exit_4(capsys, state):
 
 
 def test_runtime_imports_no_scipy():
-    # numpy is the only run-time dependency; scipy serves the tests alone
+    # numpy is the only run-time dependency; scipy serves the tests alone.  Nor does the
+    # CLI's import load what its exports do not use, which every run would pay for:
+    # dataclasses, numpy.polynomial (a Legendre rule imports it on use) or json
+    unused = ("scipy", "dataclasses", "numpy.polynomial", "json")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", "import cylwigner.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import cylwigner.cli, sys; "
+         f"print(' '.join(m for m in {unused!r} if m in sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == ""

@@ -61,6 +61,16 @@ def test_gh_exact_below_degree_2n(order):
         assert got == pytest.approx(gamma(k + 0.5), rel=1e-12)
 
 
+def test_gh_rule_is_numpys_hermgauss_bit_for_bit():
+    # gauss_hermite runs hermgauss' algorithm without importing numpy.polynomial; numpy's
+    # own function is the reference, at every order a rule can have
+    from numpy.polynomial.hermite import hermgauss
+    for order in range(1, MAX_ORDER + 1):
+        nodes, weights = hermgauss(order)
+        rule = gauss_hermite(order)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+
 def test_gh_order_bounds():
     with pytest.raises(ValueError):
         gauss_hermite(0)
