@@ -6,7 +6,15 @@ AttributeError.  Fields are plain instance attributes, so
 ``functools.cached_property`` still works on a record.  A ``Record`` compares
 and hashes by identity, a ``ValueRecord`` by its field values.  Plain classes,
 not ``dataclasses``: a generated class costs import time on every CLI run.
+The arrays that records and cached tables hold are made read-only with ``read_only``.
 """
+
+
+def read_only(*arrays):
+    """The given numpy arrays, each with its write flag cleared, as a tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 class Record:

@@ -20,7 +20,7 @@ kernel evaluates the table once per (r, ell, node) for a whole phi axis.
 A state is normalized and within MAX_TOTAL_ORDER by construction
 (``TwoModeFock``), and its rule is ``default_rule``, so the kernel checks
 only its points.  A sum that is not finite, or not real to 1e-9 of its terms,
-is refused (QuadratureResidueError) at a point, on a grid and in the angle-OAM
+is refused by ``errors.real_part`` at a point, on a grid and in the angle-OAM
 marginal alike, with numpy's floating-point warnings off around the row sum.
 
 The radial marginal P(r) = sum_ell Int W dphi needs no rings.  Poisson
@@ -35,6 +35,8 @@ with r_k = k h, u_k = r^2 + r_k^2, xi_k = r + i r_k (conj(xi_k)^(-2d) for
 d < 0, the diagonal power rule) and h = pi r, or an integer multiple of it
 at small r where the kernel's underflow test zeroes every ring that spacing
 aliases.  One search of that test sets both h and how far the samples go.
+The samples are taken with the same warnings off, and their sum is refused by
+``errors.real_part`` if it is not finite or not real to 1e-9 of Sum |terms|.
 There u is real and non-negative, so each p_d is the Laguerre series of
 ``entangled.amplitude_series``, summed by the stable upward recurrence from
 the state's plan, not the monomial form that cancels: against 60-digit all-ell
@@ -56,7 +58,7 @@ import numpy as np
 
 from ._record import Record, ValueRecord
 from .entangled import amplitude_series, amplitude_terms, wrap_phi
-from .errors import ConvergenceError, QuadratureResidueError, TruncationWarning
+from .errors import ConvergenceError, TruncationWarning, real_part
 from .quadrature import QuadKind, gauss_hermite
 from .specfun import diagonal_power
 from .twomode import oracle_cyl_from_cartesian  # noqa: F401 - re-exported
@@ -218,11 +220,7 @@ def _sum_rows(s, r, shift, expo, phi, rule):
     envelope = 4.0 * np.exp(-expo)[:, None]
     val = envelope * np.add.reduce(rule.weights * prod, -1)
     scale = envelope * np.add.reduce(rule.weights * np.abs(prod), -1)
-    if not (np.isfinite(val) & (np.abs(val.imag) <= 1e-9 * np.maximum(scale, 1e-300))).all():
-        raise QuadratureResidueError(
-            "the cylindrical Wigner sum is not finite or its imaginary residue exceeds tolerance"
-        )
-    return val.real
+    return real_part(val, scale, 1e-9, "the cylindrical Wigner sum")
 
 
 def wigner_cyl(s, at):
@@ -308,25 +306,23 @@ def _radial_sum(s, r, fine=False):
     rp = np.arange(-ceil(x / h), ceil(x / h) + 1) * h
     u = rp * rp
     u += r * r
-    offsets, p = amplitude_series(s, u)
-    # ket_d bra_d = diagonal_power(2 d, xi, conj(xi)) |p_d(u)|^2, with xi = r + i r'
-    offsets, sq = offsets.tolist(), (p * p.conj()).real
-    terms = sq[0]  # the one offset 0, with no power
-    if any(offsets):
-        xi = r + 1j * rp
-        terms = reduce(add, (diagonal_power(2 * d, xi, xi.conj()) * sq_d if d else sq_d
-                             for d, sq_d in zip(offsets, sq)))
-    terms *= np.exp(-u)
-    total = np.add.reduce(terms)
-    scale = np.add.reduce(np.abs(terms))
-    # written so that a nan fails both tests
-    if not abs(total.imag) <= 1e-9 * scale:
-        raise QuadratureResidueError(
-            "imaginary residue of the radial Poisson sum exceeds tolerance")
+    # the kernel's policy: an overflowed or nan sample is refused by the residue test
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets, p = amplitude_series(s, u)
+        # ket_d bra_d = diagonal_power(2 d, xi, conj(xi)) |p_d(u)|^2, with xi = r + i r'
+        offsets, sq = offsets.tolist(), (p * p.conj()).real
+        terms = sq[0]  # the one offset 0, with no power
+        if any(offsets):
+            xi = r + 1j * rp
+            terms = reduce(add, (diagonal_power(2 * d, xi, xi.conj()) * sq_d if d else sq_d
+                                 for d, sq_d in zip(offsets, sq)))
+        terms *= np.exp(-u)
+        scale = np.add.reduce(np.abs(terms))
+        total = real_part(np.add.reduce(terms), scale, 1e-9, "the radial Poisson sum")
     if not abs(terms[0]) + abs(terms[-1]) <= 1e-15 * scale:
         raise ConvergenceError(
             f"edge samples at |r'| = {rp[-1]:.3g} are not negligible")
-    return float(8.0 * pi * h * total.real), h
+    return float(8.0 * pi * h * total), h
 
 
 def marginal_radial(s, r, ell_max=None):
@@ -336,8 +332,8 @@ def marginal_radial(s, r, ell_max=None):
     literal convention.  Computed by Poisson summation over ell (see the
     module docstring): samples of the transform's integrand on the real r'
     axis, out to where the kernel's underflow test zeroes them.  Raises
-    QuadratureResidueError if the sum is not real, and ConvergenceError if
-    its edge samples are not negligible.
+    QuadratureResidueError if the sum is not finite or not real, and
+    ConvergenceError if its edge samples are not negligible.
 
     ``ell_max`` does not change the value, which is the all-ell sum; it is
     accepted for callers that pass it, and a negative one is refused.

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and ``real_part``: the one rule by
+which every route to W (contour kernel, radial Poisson sum, 4D oracle) refuses a sum."""
+
+import numpy as np
 
 
 class CylWignerError(Exception):
@@ -11,6 +14,17 @@ class OrderBoundError(CylWignerError):
 
 class QuadratureResidueError(CylWignerError):
     """Discarded imaginary residue of a nominally real quadrature is too large."""
+
+
+def real_part(val, scale, tol, what):
+    """``val.real``, or QuadratureResidueError unless every value is finite and
+    |Im val| <= tol * max(scale, 1e-300) in every element.  ``scale`` (one number, or an array
+    that broadcasts with ``val``) is the size of the terms summed to ``val``; a nan one fails.
+    The caller holds numpy's floating-point warnings off, so an overflowed or nan term reaches
+    this test."""
+    if not (np.isfinite(val) & (abs(val.imag) <= tol * np.maximum(scale, 1e-300))).all():
+        raise QuadratureResidueError(f"{what} is not finite or not real to {tol:g} of its terms")
+    return val.real
 
 
 class ConvergenceError(CylWignerError):

@@ -14,7 +14,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, read_only
 
 MAX_ORDER = 200
 
@@ -37,9 +37,7 @@ class QuadratureRule(Record):
     def __init__(self, kind, order, nodes, weights):
         if len(nodes) != order or len(weights) != order:
             raise ValueError("node/weight length must equal the rule order")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        self._store(kind, order, nodes, weights)
+        self._store(kind, order, *read_only(nodes, weights))
 
 
 def _normed_hermite(x, n):
@@ -104,6 +102,4 @@ def deweighted(rule):
     """
     if rule.kind is not QuadKind.GAUSS_HERMITE:
         raise ValueError("deweighting applies to Gauss-Hermite rules only")
-    weights = rule.weights * np.exp(rule.nodes ** 2)
-    weights.setflags(write=False)
-    return weights
+    return read_only(rule.weights * np.exp(rule.nodes ** 2))[0]

@@ -22,6 +22,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
+from ._record import read_only
 from .errors import OrderBoundError
 
 #: Largest supported m + n (total quanta n+ + n-).  Enforced by
@@ -108,10 +109,7 @@ def laguerre_diagonals(coeffs):
         series[k, i] += c
         monomials[degree - k:, i] += c * np.array([(-1) ** j * comb(k + alpha, k - j)
                                                    / factorial(j) for j in range(k, -1, -1)])
-    offsets = np.array(offsets)
-    for a in (offsets, series, monomials):
-        a.setflags(write=False)
-    return offsets, series, monomials
+    return read_only(np.array(offsets), series, monomials)
 
 
 def hermite2(m, n, lam):
@@ -124,10 +122,7 @@ def laguerre_plan(p, alpha):
     a[k - 1] = 2k - 1 + alpha, k and c[k - 1] = -(k - 1 + alpha) / k, each (p,) + alpha's shape."""
     k = np.arange(1.0, p + 1).reshape((p,) + (1,) * np.ndim(alpha))
     a = 2.0 * k - 1 + alpha
-    plan = (a, k + 0.0 * a, -(k - 1 + alpha) / k)  # k over alpha's shape, as a is
-    for t in plan:
-        t.setflags(write=False)
-    return plan
+    return read_only(a, k + 0.0 * a, -(k - 1 + alpha) / k)  # k over alpha's shape, as a is
 
 
 def laguerre_rows(a, k, c, x):

@@ -13,7 +13,6 @@ builds: the constructors check their preconditions (parity, ranges), and
 then the total-quanta bound MAX_TOTAL_ORDER before they allocate a table.
 """
 
-import cmath
 from enum import Enum
 from math import isfinite
 
@@ -119,7 +118,7 @@ def _raw_spec(entries):
     for i, j, c, col in entries:
         if not all(type(k) is int and k >= 0 for k in (i, j)):
             raise SpecParseError(f"bad raw coefficient indices {i!r}, {j!r}", column=col)
-        if not cmath.isfinite(c):
+        if not (isfinite(c.real) and isfinite(c.imag)):
             raise SpecParseError(f"raw coefficient c[{i},{j}] is not finite", column=col)
         if (i, j) in coeffs:  # c[0,0] and c[00,0] are one entry
             raise SpecParseError(f"raw coefficient c[{i},{j}] is given twice", column=col)

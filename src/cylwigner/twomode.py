@@ -29,8 +29,8 @@ from math import comb, cos, exp, factorial, fsum, isfinite, lgamma, pi, sin, sqr
 
 import numpy as np
 
-from ._record import Record
-from .errors import QuadratureResidueError, TruncationWarning
+from ._record import Record, read_only
+from .errors import TruncationWarning, real_part
 from .quadrature import deweighted
 from .specfun import check_order_bound, laguerre_diagonals, laguerre_plan, laguerre_rows
 
@@ -47,8 +47,7 @@ class TwoModeFock(Record):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient table must be a square 2D array")
-        self._store(c)
-        c.setflags(write=False)
+        self._store(*read_only(c))
         if not self.is_normalized:
             raise ValueError("state must be normalized")
         check_order_bound(self.max_total_quanta)
@@ -92,10 +91,7 @@ class TwoModeFock(Record):
         """``(conj(c), c (-1)^(n+ + n-))``, read-only: the bra and the parity-weighted
         ket of the displaced-parity overlap, computed once."""
         n = np.arange(self.coeffs.shape[0])
-        tables = (np.conj(self.coeffs), self.coeffs * (-1.0) ** np.add.outer(n, n))
-        for a in tables:
-            a.setflags(write=False)
-        return tables
+        return read_only(np.conj(self.coeffs), self.coeffs * (-1.0) ** np.add.outer(n, n))
 
 
 class CartesianPoint4(Record):
@@ -226,11 +222,8 @@ def _dim_constants(dim):
     order = np.abs(np.subtract.outer(k, k))
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
               for n in range(dim)] for m in range(dim)]
-    plan = (np.array(ratio)[..., None], order + dim * np.less.outer(k, k),
-            np.minimum.outer(k, k) * dim + order) + laguerre_plan(dim - 1, k[:, None])
-    for a in plan:
-        a.setflags(write=False)
-    return plan
+    return read_only(np.array(ratio)[..., None], order + dim * np.less.outer(k, k),
+                     np.minimum.outer(k, k) * dim + order, *laguerre_plan(dim - 1, k[:, None]))
 
 
 def displaced_fock_matrix(alpha, dim):
@@ -292,8 +285,8 @@ def _wigner_4d(s, w, z, terms=False):
 
     w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.  A value
     Sum bra (D_+ ket D_-) is Sum X Y^T, X = D_+ ket and Y = D_- bra^T: two flat products.
-    Its imaginary residue is judged against its Sum |X Y^T|, or with ``terms`` (the values
-    are terms of one sum) against the largest value, one float.
+    ``errors.real_part`` refuses a value that is not finite or not real to 1e-10 of its
+    Sum |X Y^T|, or with ``terms`` (the values are terms of one sum) of the largest |value|.
     """
     (bra, ket), dim = s.parity_tables, s.cutoff + 1
     alpha = np.array([w + z, w - z])
@@ -303,16 +296,10 @@ def _wigner_4d(s, w, z, terms=False):
         parts = ((d[0] @ ket).reshape(-1, dim, dim)
                  * (d[1] @ bra.T).reshape(-1, dim, dim).transpose(0, 2, 1))
         val = parts.sum(axis=(1, 2)).reshape(alpha.shape[1:]) / pi ** 2
-        if terms:
-            size = float(np.max(np.abs(val)))
-            real = isfinite(size) and (abs(val.imag) <= 1e-10 * max(size, 1e-300)).all()
-        else:
-            size = np.abs(parts).sum(axis=(1, 2)).reshape(val.shape) / pi ** 2
-            real = np.isfinite(size).all() and (abs(val.imag) <= 1e-10 * size.clip(1e-300)).all()
-    if not real:
-        raise QuadratureResidueError(
-            "4D Wigner value is not finite or has a non-negligible imaginary part")
-    return float(val.real) if val.ndim == 0 else val.real
+        scale = (np.max(abs(val)) if terms
+                 else np.abs(parts).sum(axis=(1, 2)).reshape(val.shape) / pi ** 2)
+        val = real_part(val, scale, 1e-10, "the 4D Wigner value")
+    return float(val) if val.ndim == 0 else val
 
 
 def oracle_cyl_from_cartesian(s, at, pr_rule):

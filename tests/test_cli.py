@@ -394,8 +394,8 @@ def test_order_bound_exit_4(capsys, state):
 def test_runtime_imports_no_scipy():
     # numpy is the only run-time dependency; scipy serves the tests alone.  Nor does the
     # CLI's import load what its exports do not use, which every run would pay for:
-    # dataclasses, numpy.polynomial (a Legendre rule imports it on use) or json
-    unused = ("scipy", "dataclasses", "numpy.polynomial", "json")
+    # dataclasses, numpy.polynomial (a Legendre rule imports it on use), json or cmath
+    unused = ("scipy", "dataclasses", "numpy.polynomial", "json", "cmath")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", "import cylwigner.cli, sys; "

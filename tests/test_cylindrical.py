@@ -13,7 +13,7 @@ from cylwigner import (KAPPA, CartesianPoint4, CylGrid, CylPoint, TwoModeFock, c
                        marginal_radial, oracle_cyl_from_cartesian, rotate_state,
                        wigner_cyl, wigner_cyl_grid)
 from cylwigner.errors import (ConvergenceError, OrderBoundError, QuadratureResidueError,
-                              TruncationWarning)
+                              TruncationWarning, real_part)
 from cylwigner.quadrature import QuadKind, QuadratureRule, deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
@@ -429,6 +429,62 @@ def test_marginal_radial_realness_check(monkeypatch):
     monkeypatch.setattr(entangled, "laguerre_rows", lopsided)
     with pytest.raises(QuadratureResidueError):
         marginal_radial(s, 1.0)
+
+
+@pytest.mark.parametrize("bad", [1e200, np.nan])
+@pytest.mark.parametrize("l0, nmax", [(0, 4), (2, 6)])  # real terms, and one offset d = 2
+def test_marginal_radial_refuses_a_non_finite_sample_without_a_warning(monkeypatch, bad, l0,
+                                                                       nmax):
+    # 1e200 overflows when squared: the sample reaches the residue test as inf, not as
+    # numpy's RuntimeWarning (an error under this suite's filterwarnings) or a returned inf
+    exact = cylindrical.amplitude_series
+
+    def poisoned(s, u):
+        offsets, p = exact(s, u)
+        p[..., np.argmin(u)] = bad  # the sample at r' = 0
+        return offsets, p
+
+    monkeypatch.setattr(cylindrical, "amplitude_series", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureResidueError, match="not finite"):
+            marginal_radial(make_summed_oam(l0, nmax), 1.0)
+
+
+_VAL = np.array([0.25 + 1e-12j, -3.0 - 2e-10j, 1e-310 + 0j])
+_SCALE = np.array([1.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("val, scale", [
+    (_VAL, _SCALE), (_VAL, 0.5), (np.complex128(-0.5 + 1e-20j), np.float64(1.0)),
+    (np.array([[0.0j]]), np.array([[0.0]])),  # a sum that underflowed to 0: val = scale = 0
+    (np.array([1.0, -2.0]), 2.0),  # real terms
+])
+def test_real_part_returns_the_real_part_bit_for_bit(val, scale):
+    got = real_part(val, scale, 1e-9, "a sum")
+    assert np.array_equal(got, val.real) and np.asarray(got).dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf),
+                                 complex(0.5, np.nextafter(1e-9 * 2.0, 1))])  # |Im| > tol * scale
+@pytest.mark.parametrize("where", [0, 2])
+def test_real_part_refuses_one_bad_element(bad, where):
+    val, scale = np.array([0.5, 0.25, -0.125], dtype=complex), np.array([2.0, 2.0, 2.0])
+    assert real_part(val, scale, 1e-9, "a sum") is not None
+    val[where] = bad
+    with pytest.raises(QuadratureResidueError, match="a sum is not finite or not real"):
+        real_part(val, scale, 1e-9, "a sum")
+
+
+@pytest.mark.parametrize("tol, scale", [(1e-9, 2.0), (1e-10, 3.0), (1e-9, 1e-300)])
+def test_real_part_accepts_a_residue_of_exactly_tol_times_scale(tol, scale):
+    val = np.array([0.5 + 1j * tol * scale, 0.5 - 1j * tol * scale])
+    assert np.array_equal(real_part(val, scale, tol, "a sum"), [0.5, 0.5])
+
+
+def test_real_part_refuses_a_nan_scale():
+    with pytest.raises(QuadratureResidueError):
+        real_part(np.array([0.5 + 0j, 0.25 + 0j]), np.array([1.0, np.nan]), 1e-9, "a sum")
 
 
 def test_oracle_ratio_is_kappa(rng):

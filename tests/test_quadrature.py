@@ -5,7 +5,7 @@ import pytest
 
 from cylwigner import (QuadKind, default_rule, gauss_hermite, gauss_legendre_mapped,
                        make_N_l_eigenstate)
-from cylwigner.quadrature import MAX_ORDER, deweighted
+from cylwigner.quadrature import MAX_ORDER, QuadratureRule, deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
 
@@ -133,6 +133,13 @@ def test_rules_are_immutable():
         rule.nodes[0] = 1.0
     with pytest.raises((AttributeError, TypeError)):
         rule.order = 9
+
+
+def test_rule_refuses_nodes_or_weights_not_of_its_order():
+    rule = gauss_hermite(4)
+    for nodes, weights in ((rule.nodes[:3], rule.weights), (rule.nodes, rule.weights[:3])):
+        with pytest.raises(ValueError, match="must equal the rule order"):
+            QuadratureRule(QuadKind.GAUSS_HERMITE, 4, nodes, weights)
 
 
 def test_rules_are_memoized():
