@@ -14,8 +14,8 @@ its first step c_0 u + c_1; the bra side, the conjugate ket at conjugated argume
 is the ket at the mirrored node.  At a real u >= 0, where the monomial form cancels,
 :func:`amplitude_series` sums the Laguerre series instead, for psi_entangled and the
 radial marginal: one :func:`specfun.laguerre_rows` call, three array operations a step,
-runs its Laguerre table from the state's read-only (a, k, c) recurrence plan
-(``TwoModeFock.series_steps``, a :func:`specfun.laguerre_plan`).  A single Fock overlap
+runs its Laguerre table from the read-only (a, k, c) recurrence plan that is the fourth
+element of the same record (a :func:`specfun.laguerre_plan`).  A single Fock overlap
 (:func:`xi_fock_overlap`) evaluates one Hermite polynomial through the same Laguerre
 reduction (:func:`specfun.hermite2`).
 """
@@ -77,7 +77,7 @@ def amplitude_terms(s, lam, lam_bar):
     lam = np.asarray(lam, dtype=complex)
     lam_bar = np.asarray(lam_bar, dtype=complex)
     u = lam * lam_bar
-    offsets, _, coeffs = s.amplitude_table
+    offsets, _, coeffs, _ = s.amplitude_table
     coeffs = coeffs.reshape(coeffs.shape + (1,) * u.ndim)
     if len(coeffs) == 1:
         terms = np.full(coeffs.shape[1:2] + u.shape, coeffs[0])
@@ -109,10 +109,10 @@ def amplitude_polynomial(s, lam, lam_bar):
 def amplitude_series(s, u):
     """``(offsets, p)``, p[i] = p_d(u) for d = offsets[i] on the shape of a real u >= 0,
     each summed from the table's Laguerre series (see the module docstring).  The table
-    L_k^|d|(u) is run from the state's recurrence plan (``TwoModeFock.series_steps``)."""
-    offsets, series, _ = s.amplitude_table
+    L_k^|d|(u) is run from the record's recurrence plan, its fourth element."""
+    offsets, series, _, steps = s.amplitude_table
     lead = (1,) * np.ndim(u)
-    table = laguerre_rows(*(t.reshape(t.shape + lead) for t in s.series_steps), u)
+    table = laguerre_rows(*(t.reshape(t.shape + lead) for t in steps), u)
     return offsets, np.add.reduce(series.reshape(series.shape + lead) * table, axis=0)
 
 

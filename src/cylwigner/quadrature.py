@@ -10,7 +10,7 @@ rule compares and hashes by identity, so it can key a cache, as for :func:`dewei
 
 from enum import Enum
 from functools import lru_cache
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
@@ -74,16 +74,16 @@ def gauss_hermite(order):
 
 @lru_cache(maxsize=128)
 def gauss_legendre_mapped(order, r_min, r_max):
-    """Gauss-Legendre rule mapped affinely onto [r_min, r_max], r_min > 0.
+    """Gauss-Legendre rule mapped affinely onto a finite [r_min, r_max], r_min > 0.
 
     The strictly positive lower edge is deliberate: every radial integral in
     this package excludes r = 0, where the cylindrical change of variables
-    is singular.
+    is singular.  An infinite edge would make every node and weight inf.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    if not 0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if not 0 < r_min < r_max < inf:  # a nan edge fails the comparison too
+        raise ValueError(f"need finite 0 < r_min < r_max, got ({r_min}, {r_max})")
     from numpy.polynomial.legendre import leggauss  # noqa: PLC0415 - only here
     x, w = leggauss(order)
     half = 0.5 * (r_max - r_min)

@@ -86,15 +86,16 @@ def laguerre_diagonals(coeffs):
 
     This is the Fock expansion of an entangled-basis amplitude with
     coeffs[n+, n-]: one offset d = n - m per OAM value n+ - n- = -d, and the
-    sum equals Sum_d diagonal_power(d, lam, lam_bar) p_d(u).  Returns
-    ``(offsets, series, monomials)`` over the occupied offsets in ascending
-    order, with p_d(u) = Sum_k series[k, i] L_k^|d|(u), d = offsets[i], from the
-    reduction above, so every coefficient is at most the Fock coefficient in
-    modulus.  monomials[j, i] is the coefficient of u^(degree - j) in p_d, for
-    one Horner pass, zero-padded at the top, from the same loop through
-    L_k^a(u) = Sum_j (-1)^j C(k + a, k - j) u^j / j!.  On u >= 0 the series is
-    summed stably by :func:`laguerre_table`, where the monomial form cancels:
-    at 40 quanta its Horner sum loses about 9 digits.
+    sum equals Sum_d diagonal_power(d, lam, lam_bar) p_d(u).  Returns the
+    read-only record ``(offsets, series, monomials, steps)`` over the occupied
+    offsets in ascending order, with p_d(u) = Sum_k series[k, i] L_k^|d|(u),
+    d = offsets[i], from the reduction above, so every coefficient is at most the
+    Fock coefficient in modulus.  monomials[j, i] is the coefficient of u^(degree - j)
+    in p_d, for one Horner pass, zero-padded at the top, from the same loop through
+    L_k^a(u) = Sum_j (-1)^j C(k + a, k - j) u^j / j!.  ``steps`` is the series'
+    :func:`laguerre_plan`, of its degree with one column per offset, order |d|: on
+    u >= 0 the series is summed stably by :func:`laguerre_rows` on it, where the
+    monomial form cancels: at 40 quanta its Horner sum loses about 9 digits.
     """
     coeffs = np.asarray(coeffs)
     support = np.argwhere(coeffs != 0).tolist()
@@ -109,7 +110,9 @@ def laguerre_diagonals(coeffs):
         series[k, i] += c
         monomials[degree - k:, i] += c * np.array([(-1) ** j * comb(k + alpha, k - j)
                                                    / factorial(j) for j in range(k, -1, -1)])
-    return read_only(np.array(offsets), series, monomials)
+    # |d| from the Python ints: np.abs on an int array pages in 160 KiB an export uses nowhere else
+    steps = laguerre_plan(degree, np.array([abs(d) for d in offsets]))
+    return read_only(np.array(offsets), series, monomials) + (steps,)
 
 
 def hermite2(m, n, lam):

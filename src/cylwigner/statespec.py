@@ -10,18 +10,17 @@ Two input grammars are accepted: a compact one-line key=value form,
 and a JSON object with a "kind" field and the same parameter names.
 Parsing builds the state once, so a spec that parses is a spec that
 builds: the constructors check their preconditions (parity, ranges), and
-then the total-quanta bound MAX_TOTAL_ORDER before they allocate a table.
+``twomode.state_from_entries``, which lays out every table, checks the
+total-quanta bound MAX_TOTAL_ORDER before it allocates one.  This module
+only parses, scales a raw spec's entries and dispatches.
 """
 
 from enum import Enum
 from math import isfinite
 
-import numpy as np
-
 from ._record import ValueRecord
 from .errors import SpecParseError
-from .specfun import check_order_bound
-from .twomode import TwoModeFock, make_N_l_eigenstate, make_summed_oam, make_superposition
+from .twomode import make_N_l_eigenstate, make_summed_oam, make_superposition, state_from_entries
 
 
 class StateKind(Enum):
@@ -59,7 +58,8 @@ _KINDS = {
 
 
 def build_state(spec):
-    """Construct the TwoModeFock described by a spec.
+    """Construct the TwoModeFock described by a spec, through its constructor or, for a
+    raw spec, ``twomode.state_from_entries``.
 
     An oversized spec raises OrderBoundError without allocating its table.
     A raw table is normalized after dividing by its largest component, so
@@ -71,16 +71,11 @@ def build_state(spec):
     entries = {ij: c for ij, c in spec.params["coeffs"].items() if c != 0}
     if not entries:
         raise ValueError("raw spec has no nonzero coefficients")
-    check_order_bound(max(i + j for i, j in entries))
-    cut = max(max(ij) for ij in entries)
-    table = np.zeros((cut + 1, cut + 1), dtype=complex)
-    for (i, j), c in entries.items():
-        table[i, j] = c
     # scale the real and imaginary parts as floats: |c| overflows for 1e308+1e308j,
     # and a complex division by 3e-320 multiplies by its reciprocal, inf
-    parts = table.view(float)
-    parts /= np.abs(parts).max()
-    return TwoModeFock(table / np.linalg.norm(table))
+    big = max(max(abs(c.real), abs(c.imag)) for c in entries.values())
+    return state_from_entries({ij: complex(c.real / big, c.imag / big)
+                               for ij, c in entries.items()})
 
 
 def _parse_scalar(kind, key, value, col):

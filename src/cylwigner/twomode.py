@@ -6,14 +6,15 @@ number N = n+ + n- and the OAM L = n+ - n- act diagonally.  The Cartesian
 x/y mode basis enters only through ``mode_rotate_xy_to_pm``.
 
 A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta by construction:
-both are checked once, when the table is built, so no evaluator re-checks them; the
-constructors check the bound on their top quanta (``specfun.check_order_bound``) before they
-allocate a table.  A state expands its entangled-basis amplitude once (``amplitude_table``),
-as Laguerre series for the radial marginal and in monomial form for the cylindrical kernel,
-and plans the recurrence that sums the series (``series_steps``, the (a, k, c) steps of
-``specfun.laguerre_plan``), as the oracle plans each dim; the 4D oracle reads its parity
-tables (``parity_tables``).  All are built on first use and kept read-only.  States and
-points compare and hash by identity.
+both are checked once, when the table is built, so no evaluator re-checks them.  One builder,
+:func:`state_from_entries`, lays out every constructed state's table from its nonzero entries:
+it checks the bound on their top quanta (``specfun.check_order_bound``) before it allocates
+the table, then normalizes it.  A state expands its entangled-basis amplitude once
+(``amplitude_table``, the four-element record of ``specfun.laguerre_diagonals``): Laguerre
+series for the radial marginal, a monomial form for the cylindrical kernel, and the (a, k, c)
+plan of the recurrence that sums the series (``specfun.laguerre_plan``), as the oracle plans
+each dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on first
+use and kept read-only.  States and points compare and hash by identity.
 
 The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell), integrates
 the 4D function over p_r along a ray, as one ``math.fsum``; ``_wigner_4d`` alone lays out
@@ -73,18 +74,11 @@ class TwoModeFock(Record):
     @cached_property
     def amplitude_table(self):
         """The entangled-basis amplitude in diagonal form, computed once: ``(offsets,
-        series, monomials)`` from :func:`specfun.laguerre_diagonals`, one offset
-        d = n- - n+ per OAM value with a Laguerre series and a monomial form in
-        u = lam lam_bar.  The cylindrical kernel reads the monomial form in one Horner
-        pass, and the radial marginal and psi_entangled the series, where u is real."""
+        series, monomials, steps)`` from :func:`specfun.laguerre_diagonals`, one offset
+        d = n- - n+ per OAM value with a Laguerre series, a monomial form in u = lam lam_bar
+        and the series' recurrence plan.  The cylindrical kernel reads the monomial form in
+        one Horner pass, and the radial marginal and psi_entangled the series, where u is real."""
         return laguerre_diagonals(self.coeffs)
-
-    @cached_property
-    def series_steps(self):
-        """The read-only (a, k, c) plan of the Laguerre recurrence that sums ``amplitude_table``'s
-        series: :func:`specfun.laguerre_plan` of its degree, one column per offset d, order |d|."""
-        offsets, series, _ = self.amplitude_table
-        return laguerre_plan(len(series) - 1, np.abs(offsets))
 
     @cached_property
     def parity_tables(self):
@@ -106,6 +100,18 @@ class CartesianPoint4(Record):
         self._store(x, p_x, y, p_y)
 
 
+def state_from_entries(entries):
+    """The normalized state with the nonzero coefficients ``{(n+, n-): c}``, in the smallest
+    square table that holds them.  The bound on their top n+ + n- is checked before the table
+    is allocated.  Every constructed state is built here."""
+    check_order_bound(max(i + j for i, j in entries))
+    cut = max(max(ij) for ij in entries)
+    table = np.zeros((cut + 1, cut + 1), dtype=complex)
+    for ij, c in entries.items():
+        table[ij] = c
+    return TwoModeFock(table / np.linalg.norm(table))
+
+
 def make_N_l_eigenstate(N, l0):
     """Joint eigenstate |N, l0> of total number and OAM.
 
@@ -117,12 +123,7 @@ def make_N_l_eigenstate(N, l0):
         raise ValueError(f"range: |l0| = {abs(l0)} exceeds N = {N}")
     if (N - abs(l0)) % 2 != 0:
         raise ValueError(f"parity: N - |l0| = {N - abs(l0)} must be even")
-    check_order_bound(N)
-    np_, nm = (N + l0) // 2, (N - l0) // 2
-    cut = max(np_, nm)
-    table = np.zeros((cut + 1, cut + 1), dtype=complex)
-    table[np_, nm] = 1.0
-    return TwoModeFock(table)
+    return state_from_entries({((N + l0) // 2, (N - l0) // 2): 1.0})
 
 
 def make_summed_oam(l0, Nmax):
@@ -134,12 +135,9 @@ def make_summed_oam(l0, Nmax):
     if Nmax < abs(l0):
         raise ValueError(f"range: Nmax = {Nmax} is below |l0| = {abs(l0)}")
     top = Nmax - (Nmax - abs(l0)) % 2
-    check_order_bound(top)
-    cut = (Nmax + abs(l0)) // 2
-    table = np.zeros((cut + 1, cut + 1), dtype=complex)
-    for N in range(abs(l0), top + 1, 2):
-        table[(N + l0) // 2, (N - l0) // 2] = 1.0 / sqrt(N + 1)
-    return TwoModeFock(table / np.linalg.norm(table))
+    check_order_bound(top)  # before the entries are listed: a huge Nmax would hang there
+    return state_from_entries({((N + l0) // 2, (N - l0) // 2): 1.0 / sqrt(N + 1)
+                               for N in range(abs(l0), top + 1, 2)})
 
 
 def make_superposition(l1, l2, phi0, Nmax):
@@ -150,12 +148,8 @@ def make_superposition(l1, l2, phi0, Nmax):
         raise ValueError(f"l1 and l2 must differ, got {l1} for both")
     # the larger |l| first: its range check covers both, so it runs before any bound check
     parts = {l: make_summed_oam(l, Nmax) for l in sorted((l1, l2), key=abs, reverse=True)}
-    a, b = parts[l1], parts[l2]
-    dim = max(a.coeffs.shape[0], b.coeffs.shape[0])
-    table = np.zeros((dim, dim), dtype=complex)
-    table[: a.coeffs.shape[0], : a.coeffs.shape[1]] += a.coeffs
-    table[: b.coeffs.shape[0], : b.coeffs.shape[1]] += np.exp(1j * phi0) * b.coeffs
-    return TwoModeFock(table / np.linalg.norm(table))
+    a, b = parts[l1].coeffs, np.exp(1j * phi0) * parts[l2].coeffs
+    return state_from_entries({ij: t[ij] for t in (a, b) for ij in zip(*np.nonzero(t))})
 
 
 def rotate_state(s, phi0):
@@ -308,11 +302,15 @@ def oracle_cyl_from_cartesian(s, at, pr_rule):
     Maps (r, phi, ell, p_r) to Cartesian coordinates by the canonical
     (unit-Jacobian) transformation and integrates with a de-weighted
     Gauss-Hermite rule, which is exact here because the 4D Wigner function
-    of a truncated state is a polynomial under a Gaussian in p_r.  All the nodes go
+    of a truncated state is a polynomial of degree 2 quanta under a Gaussian in p_r:
+    a rule of order quanta or less is refused (ValueError).  All the nodes go
     to one batched 4D evaluation, whose weighted values ``math.fsum`` sums correctly
     rounded.  The ratio wigner_cyl / oracle is the one global constant cylindrical.KAPPA.
     """
     weights = deweighted(pr_rule)  # refuses a rule other than Gauss-Hermite
+    if pr_rule.order <= s.max_total_quanta:
+        raise ValueError(f"a p_r rule of order {pr_rule.order} is not exact for "
+                         f"{s.max_total_quanta} total quanta: it needs quanta + 1 or more")
     r, phi = at.r, at.phi
     lam = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
     if not isfinite(lam):  # refused before lam * sin(phi) makes a nan

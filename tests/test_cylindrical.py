@@ -590,3 +590,16 @@ def test_oracle_requires_gauss_hermite():
     with pytest.raises(ValueError):
         oracle_cyl_from_cartesian(vacuum_state(), CylPoint(1.0, 0.0, 0),
                                   gauss_legendre_mapped(32, 0.1, 8.0))
+
+
+@pytest.mark.parametrize("state", [make_N_l_eigenstate(2, 0), make_summed_oam(0, 4),
+                                   make_superposition(3, -3, 0.0, 9)])
+def test_oracle_refuses_a_rule_too_short_to_be_exact(state):
+    # the p_r integrand has degree 2 quanta: order quanta is wrong with no error (-160%,
+    # -13% and -26% here), and order quanta + 1 is exact
+    quanta, at = state.max_total_quanta, CylPoint(1.1, 0.3, 1)
+    with pytest.raises(ValueError, match=f"order {quanta} .* {quanta} total quanta"):
+        oracle_cyl_from_cartesian(state, at, gauss_hermite(quanta))
+    exact = oracle_cyl_from_cartesian(state, at, gauss_hermite(quanta + 8))
+    assert oracle_cyl_from_cartesian(state, at, gauss_hermite(quanta + 1)) == \
+        pytest.approx(exact, rel=1e-14)

@@ -250,7 +250,7 @@ def test_psi_on_the_real_axis_matches_mpmath(make):
 def test_amplitude_table_layout():
     s = TwoModeFock(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]]))
     # c[0,1] has OAM -1 (offset 1, degree 0); c[2,2] has OAM 0 (offset 0, degree 2)
-    offsets, series, coeffs = s.amplitude_table
+    offsets, series, coeffs, _ = s.amplitude_table
     assert offsets.tolist() == [0, 1] and series.shape == coeffs.shape == (3, 2)
     assert coeffs[0, 0] != 0  # degree 2 at offset 0
     assert coeffs[:2, 1].tolist() == [0, 0] and coeffs[2, 1] != 0
@@ -272,7 +272,7 @@ def test_amplitude_table_order_bound():
 def test_amplitude_series_is_the_laguerre_table_sum_bit_for_bit(make, rng):
     # the state's recurrence plan fills the same table laguerre_table fills
     s = make()
-    offsets, series, _ = s.amplitude_table
+    offsets, series, _, _ = s.amplitude_table
     for u in (2.7, rng.uniform(0.0, 40.0, 33), rng.uniform(0.0, 40.0, (3, 11))):
         lead = (1,) * np.ndim(u)
         want = np.sum(series.reshape(series.shape + lead) * laguerre_table(
@@ -285,9 +285,8 @@ def test_amplitude_series_is_the_laguerre_table_sum_bit_for_bit(make, rng):
 
 def test_series_plan_is_cached_and_read_only():
     s = make_superposition(5, -4, 0.7, 50)
-    offsets, series, _ = s.amplitude_table
-    plan = s.series_steps
-    assert s.series_steps is plan
+    offsets, series, _, plan = s.amplitude_table
+    assert s.amplitude_table[3] is plan
     k, alpha = np.arange(1, len(series))[:, None], np.abs(offsets)
     want_plan = (2 * k - 1 + alpha, k + 0 * alpha, -(k - 1 + alpha) / k)
     assert len(plan) == len(want_plan)

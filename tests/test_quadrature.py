@@ -1,4 +1,4 @@
-from math import fsum, gamma, pi, sqrt
+from math import fsum, gamma, inf, nan, pi, sqrt
 
 import numpy as np
 import pytest
@@ -116,6 +116,10 @@ def test_gl_mapped_domain_errors():
         gauss_legendre_mapped(8, 2.0, 1.0)
     with pytest.raises(ValueError):
         gauss_legendre_mapped(0, 1.0, 2.0)
+    # an infinite edge would make every node and weight inf; a nan edge is refused as well
+    for r_min, r_max in ((1e-3, inf), (1e-3, nan), (nan, 2.0), (-inf, 2.0), (1e-3, -inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gauss_legendre_mapped(8, r_min, r_max)
 
 
 def test_deweighted_inverts_envelope():

@@ -330,7 +330,7 @@ def test_laguerre_diagonals_are_the_hermite_diagonals(rng):
     coeffs[1, 3] = coeffs[4, 0] = 0.0
     coeffs /= np.linalg.norm(coeffs)
     u = rng.uniform(0.0, 3.0, size=7)
-    offsets, series, monomials = laguerre_diagonals(coeffs)
+    offsets, series, monomials, _ = laguerre_diagonals(coeffs)
     want = monomial_diagonals(coeffs)
     assert offsets.tolist() == sorted(want) == list(range(-3, 5))  # no d = -4
     assert monomials.shape == series.shape == (5, len(offsets))

@@ -13,6 +13,7 @@ from cylwigner import twomode
 from cylwigner.errors import QuadratureResidueError, TruncationWarning
 from cylwigner.quadrature import deweighted
 from cylwigner.specfun import laguerre_table
+from cylwigner.statespec import build_state, parse_state_spec
 from cylwigner.twomode import displaced_fock_matrix
 
 
@@ -42,6 +43,51 @@ def test_eigenstate_placement():
     assert s.max_total_quanta == 3
     n, l = expectation_N_L(s)
     assert (n, l) == (pytest.approx(3.0), pytest.approx(1.0))
+
+
+def _dense(cut, entries):
+    """A table written out in full: the zero table, the entries, then the normalization."""
+    table = np.zeros((cut + 1, cut + 1), dtype=complex)
+    for ij, c in entries.items():
+        table[ij] = c
+    return table / np.linalg.norm(table)
+
+
+def _dense_summed(l0, Nmax):
+    top = Nmax - (Nmax - abs(l0)) % 2
+    return _dense((Nmax + abs(l0)) // 2, {((N + l0) // 2, (N - l0) // 2): 1.0 / sqrt(N + 1)
+                                         for N in range(abs(l0), top + 1, 2)})
+
+
+def _dense_superposition(l1, l2, phi0, Nmax):
+    a, b = _dense_summed(l1, Nmax), _dense_summed(l2, Nmax)
+    table = np.zeros((max(len(a), len(b)),) * 2, dtype=complex)
+    table[: len(a), : len(a)] += a
+    table[: len(b), : len(b)] += np.exp(1j * phi0) * b
+    return table / np.linalg.norm(table)
+
+
+def _dense_raw(cut, entries):
+    table = np.zeros((cut + 1, cut + 1), dtype=complex)
+    for ij, c in entries.items():
+        table[ij] = c
+    parts = table.view(float)
+    parts /= np.abs(parts).max()
+    return table / np.linalg.norm(table)
+
+
+@pytest.mark.parametrize("state, want", [
+    (lambda: make_N_l_eigenstate(3, 1), lambda: _dense(2, {(2, 1): 1.0})),
+    # Nmax - |l0| is odd: the top N is 10, not 11
+    (lambda: make_summed_oam(-2, 11), lambda: _dense_summed(-2, 11)),
+    # branches of unequal size and unequal unnormalized norm, each normalized before the sum
+    (lambda: make_superposition(2, -3, 0.7, 10), lambda: _dense_superposition(2, -3, 0.7, 10)),
+    (lambda: build_state(parse_state_spec("raw c[0,0]=1e308+1e308j c[2,1]=3e307j")),
+     lambda: _dense_raw(2, {(0, 0): 1e308 + 1e308j, (2, 1): 3e307j})),
+], ids=["eigenstate", "summed-odd-span", "superposition", "raw-extreme"])
+def test_constructed_tables_are_pinned_bit_for_bit(state, want):
+    got, want = state().coeffs, want()
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 def test_eigenstate_precondition_messages():
