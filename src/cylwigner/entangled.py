@@ -20,12 +20,12 @@ element of the same record (a :func:`specfun.laguerre_plan`).  A single Fock ove
 reduction (:func:`specfun.hermite2`).
 """
 
-from math import lgamma, pi
+from math import factorial, pi, sqrt
 
 import numpy as np
 
 from ._record import ValueRecord
-from .specfun import diagonal_power, hermite2, laguerre, laguerre_rows
+from .specfun import check_order_bound, diagonal_power, hermite2, laguerre, laguerre_rows
 
 
 class EntangledArg(ValueRecord):
@@ -60,7 +60,8 @@ def xi_fock_overlap(xi, n_plus, n_minus):
     the closed-form OAM eigenstate check in the test suite, since this is
     the single most error-prone sign convention in the package.
     """
-    norm = np.exp(-0.5 * (lgamma(n_plus + 1) + lgamma(n_minus + 1)))
+    check_order_bound(n_plus + n_minus)  # before the factorials: 171! overflows a float
+    norm = sqrt(1 / (factorial(n_plus) * factorial(n_minus)))
     envelope, xi = _gaussian(xi)
     return envelope * norm * hermite2(n_minus, n_plus, xi)
 

@@ -8,11 +8,12 @@ Two input grammars are accepted: a compact one-line key=value form,
     raw c[0,0]=0.6 c[1,1]=0.8j
 
 and a JSON object with a "kind" field and the same parameter names.
-Parsing builds the state once, so a spec that parses is a spec that
-builds: the constructors check their preconditions (parity, ranges), and
-``twomode.state_from_entries``, which lays out every table, checks the
-total-quanta bound MAX_TOTAL_ORDER before it allocates one.  This module
-only parses, scales a raw spec's entries and dispatches.
+Both read their text through one kind lookup, and parsing builds the state
+once (``build_state``), so a spec that parses is a spec that builds: the
+constructors check their preconditions (parity, ranges), and
+``twomode.state_from_entries`` drops zero entries and checks the total-quanta
+bound MAX_TOTAL_ORDER before it allocates the table.  This module only
+parses, scales a raw spec's entries and dispatches.
 """
 
 from enum import Enum
@@ -41,12 +42,6 @@ class StateSpec(ValueRecord):
         p = self.params["coeffs"] if self.kind is StateKind.RAW_COEFFS else self.params
         return hash((self.kind, frozenset(p.items())))
 
-    def validate(self):
-        """Check constructor preconditions (ValueError naming them) and the
-        total-quanta bound (OrderBoundError)."""
-        build_state(self)
-        return self
-
 
 #: Each parameterized kind's constructor and schema, named as the constructor's arguments.
 _KINDS = {
@@ -59,23 +54,21 @@ _KINDS = {
 
 def build_state(spec):
     """Construct the TwoModeFock described by a spec, through its constructor or, for a
-    raw spec, ``twomode.state_from_entries``.
-
-    An oversized spec raises OrderBoundError without allocating its table.
-    A raw table is normalized after dividing by its largest component, so
-    its norm neither overflows nor underflows.
+    raw spec, ``twomode.state_from_entries``: the one check of a spec's preconditions
+    (ValueError naming them) and of its total-quanta bound (OrderBoundError), which an
+    oversized spec fails without allocating its table.  A raw table is only divided by its
+    largest component, so its norm neither overflows nor underflows.
     """
     if spec.kind in _KINDS:
         return _KINDS[spec.kind][0](**spec.params)
-    # zero entries do not size the table: c[10**8,0]=0 must not allocate it
-    entries = {ij: c for ij, c in spec.params["coeffs"].items() if c != 0}
-    if not entries:
-        raise ValueError("raw spec has no nonzero coefficients")
+    coeffs = spec.params["coeffs"]
     # scale the real and imaginary parts as floats: |c| overflows for 1e308+1e308j,
     # and a complex division by 3e-320 multiplies by its reciprocal, inf
-    big = max(max(abs(c.real), abs(c.imag)) for c in entries.values())
+    big = max(max(abs(c.real), abs(c.imag)) for c in coeffs.values())
+    if not big:  # before the division by it
+        raise ValueError("raw spec has no nonzero coefficients")
     return state_from_entries({ij: complex(c.real / big, c.imag / big)
-                               for ij, c in entries.items()})
+                               for ij, c in coeffs.items()})
 
 
 def _parse_scalar(kind, key, value, col):
@@ -104,7 +97,7 @@ def _schema_spec(kind, pairs, cols):
     if extra:
         raise SpecParseError(f"unexpected keys for {kind.value}: {extra}",
                              column=cols.get(extra[0], 1))
-    return StateSpec(kind, params).validate()
+    return StateSpec(kind, params)
 
 
 def _raw_spec(entries):
@@ -120,17 +113,25 @@ def _raw_spec(entries):
         coeffs[(i, j)] = c
     if not coeffs:
         raise SpecParseError("raw spec needs at least one coefficient")
-    return StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}).validate()
+    return StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs})
 
 
 def parse_state_spec(text):
-    """Parse spec text (key=value line or JSON object) into a StateSpec."""
+    """Parse spec text (key=value line or JSON object) into a StateSpec that builds."""
     stripped = text.strip()
     if not stripped:
         raise SpecParseError("empty state spec")
-    if stripped.startswith("{"):
-        return _parse_json(stripped)
-    return _parse_keyvalue(text)
+    spec = _parse_json(stripped) if stripped.startswith("{") else _parse_keyvalue(text)
+    build_state(spec)
+    return spec
+
+
+def _kind(head, column=1):
+    """The StateKind a spec's head names."""
+    try:
+        return StateKind(head)
+    except ValueError:
+        raise SpecParseError(f"unknown state kind {head!r}", column=column) from None
 
 
 def _parse_keyvalue(text):
@@ -140,11 +141,7 @@ def _parse_keyvalue(text):
         if tok.strip():
             tokens.append((tok.strip(), col))
         col += len(tok) + 1
-    head, head_col = tokens[0]
-    try:
-        kind = StateKind(head)
-    except ValueError:
-        raise SpecParseError(f"unknown state kind {head!r}", column=head_col) from None
+    kind = _kind(*tokens[0])
 
     pairs = {}
     cols = {}
@@ -185,11 +182,7 @@ def _parse_json(text):
         raise SpecParseError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecParseError("JSON spec must be an object with a 'kind' field")
-    head = obj.pop("kind")
-    try:
-        kind = StateKind(head)
-    except ValueError:
-        raise SpecParseError(f"unknown state kind {head!r}") from None
+    kind = _kind(obj.pop("kind"))
     if kind is not StateKind.RAW_COEFFS:
         return _schema_spec(kind, obj, {})
     items = obj.pop("coeffs", [])

@@ -7,9 +7,9 @@ x/y mode basis enters only through ``mode_rotate_xy_to_pm``.
 
 A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta by construction:
 both are checked once, when the table is built, so no evaluator re-checks them.  One builder,
-:func:`state_from_entries`, lays out every constructed state's table from its nonzero entries:
-it checks the bound on their top quanta (``specfun.check_order_bound``) before it allocates
-the table, then normalizes it.  A state expands its entangled-basis amplitude once
+:func:`state_from_entries`, lays out every constructed state's table: it drops zero entries,
+checks the bound on the top quanta of the rest (``specfun.check_order_bound``) before it
+allocates the table, then normalizes it.  A state expands its entangled-basis amplitude once
 (``amplitude_table``, the four-element record of ``specfun.laguerre_diagonals``): Laguerre
 series for the radial marginal, a monomial form for the cylindrical kernel, and the (a, k, c)
 plan of the recurrence that sums the series (``specfun.laguerre_plan``), as the oracle plans
@@ -26,7 +26,7 @@ dim (``_dim_constants``).
 
 import warnings
 from functools import cached_property, lru_cache
-from math import comb, cos, exp, factorial, fsum, isfinite, lgamma, pi, sin, sqrt
+from math import comb, cos, factorial, fsum, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -101,9 +101,11 @@ class CartesianPoint4(Record):
 
 
 def state_from_entries(entries):
-    """The normalized state with the nonzero coefficients ``{(n+, n-): c}``, in the smallest
-    square table that holds them.  The bound on their top n+ + n- is checked before the table
-    is allocated.  Every constructed state is built here."""
+    """The normalized state with the coefficients ``{(n+, n-): c}``, some nonzero, in the
+    smallest square table that holds the nonzero ones, allocated after the bound on their top
+    n+ + n- is checked: a zero entry neither counts nor sizes it.  Every constructed state is
+    built here."""
+    entries = {ij: c for ij, c in entries.items() if c != 0}
     check_order_bound(max(i + j for i, j in entries))
     cut = max(max(ij) for ij in entries)
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
@@ -173,8 +175,8 @@ def _basis_rotation(table, m11, m12, m21, m22):
     """Re-express a two-mode table under A+ -> m11 B1+ + m12 B2+, etc.
 
     The substitution acts on creation operators; coefficients follow by
-    binomial expansion with exact factorial normalization.  Output is a
-    square table large enough to hold all quanta.
+    binomial expansion, normalized by sqrt(n1! n2! / (na! nb!)) from exact integers.
+    Output is a square table large enough to hold all quanta.
     """
     table = np.asarray(table, dtype=complex)
     dim = table.shape[0] + table.shape[1] - 1
@@ -182,14 +184,14 @@ def _basis_rotation(table, m11, m12, m21, m22):
     for (na, nb), c in np.ndenumerate(table):
         if c == 0:
             continue
-        base = lgamma(na + 1) + lgamma(nb + 1)
+        base = factorial(na) * factorial(nb)
         for j in range(na + 1):
             for k in range(nb + 1):
                 n1 = j + k
                 n2 = na + nb - n1
                 coef = (comb(na, j) * comb(nb, k)
                         * m11 ** j * m12 ** (na - j) * m21 ** k * m22 ** (nb - k))
-                fac = exp(0.5 * (lgamma(n1 + 1) + lgamma(n2 + 1) - base))
+                fac = sqrt(factorial(n1) * factorial(n2) / base)
                 out[n1, n2] += c * coef * fac
     return out
 
@@ -198,8 +200,10 @@ def mode_rotate_xy_to_pm(coeffs_xy):
     """Convert a Fock table over (n_x, n_y) into the chirality basis.
 
     Uses a_x+ = (a_+^dag + a_-^dag)/sqrt(2) and
-    a_y+ = -i (a_+^dag - a_-^dag)/sqrt(2); exact at the given cutoff.
+    a_y+ = -i (a_+^dag - a_-^dag)/sqrt(2); exact at the given cutoff.  It keeps
+    n_x + n_y, so the order bound is checked on the input, before the expansion.
     """
+    check_order_bound(int(np.argwhere(coeffs_xy).sum(axis=1).max(initial=0)))
     s = 1.0 / sqrt(2.0)
     return TwoModeFock(_basis_rotation(coeffs_xy, s, s, -1j * s, 1j * s))
 
@@ -207,7 +211,7 @@ def mode_rotate_xy_to_pm(coeffs_xy):
 @lru_cache(maxsize=128)
 def _dim_constants(dim):
     """The per-dim plan of displaced_fock_matrix, read-only and built once per dim:
-    ratio = sqrt(min! / max!) signed (-1)^(n - m) for m < n, from exact integers (an lgamma
+    ratio = sqrt(min! / max!) signed (-1)^(n - m) for m < n, from exact integers (a log-gamma
     form is 2.2e-15 off at dim 21), as a (dim, dim, 1) column; the flat index of each (m, n)
     element's power in [alpha^k, conj(alpha)^k] and of its Laguerre value L_min(m,n)^|m-n|
     in a (degree, order) table; and the recurrence's (a, k, c) plan (``specfun.laguerre_plan``)

@@ -16,6 +16,7 @@ from cylwigner.errors import (ConvergenceError, OrderBoundError, QuadratureResid
                               TruncationWarning, real_part)
 from cylwigner.quadrature import QuadKind, QuadratureRule, deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER
+from test_oracle_reference import _points
 
 
 def vacuum_state():
@@ -497,6 +498,30 @@ def test_oracle_ratio_is_kappa(rng):
             direct = wigner_cyl(s, pt)
             brute = oracle_cyl_from_cartesian(s, pt, pr_rule)
             assert direct == pytest.approx(KAPPA * brute, rel=1e-9, abs=1e-12)
+
+
+#: Each family by total quanta, and its bound on |wigner_cyl - KAPPA oracle| / |KAPPA oracle|
+#: over the 150 draws of ``test_kernel_envelope_to_10_quanta``.  The measured worsts at 10
+#: quanta are 3.7e-12 (summed), 5.0e-12 (superposition) and 1.8e-10 (eigenstate).
+ENVELOPE = {"summed": (lambda q: make_summed_oam(0, q), 2e-11),
+            "superposition": (lambda q: make_superposition(5, -4, 0.7, q), 2e-11),
+            "eigenstate": (lambda q: make_N_l_eigenstate(q, 2), 1e-9)}
+
+
+@pytest.mark.parametrize("quanta", [6, 8, 10])
+@pytest.mark.parametrize("family", list(ENVELOPE))
+def test_kernel_envelope_to_10_quanta(family, quanta):
+    # the contour kernel's accuracy where every benchmark state and both default exports lie:
+    # 150 points from default_rng(11), drawn as the oracle's reference points are
+    make, bound = ENVELOPE[family]
+    s = make(quanta)
+    rule = cylindrical.default_rule(s)
+    worst = 0.0
+    for r, phi, ell in _points(np.random.default_rng(11), 150):
+        pt = CylPoint(r, phi, ell)
+        want = KAPPA * oracle_cyl_from_cartesian(s, pt, rule)
+        worst = max(worst, abs(wigner_cyl(s, pt) - want) / abs(want))
+    assert worst <= bound
 
 
 PROBE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "probe_reference.json"

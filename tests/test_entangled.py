@@ -264,6 +264,12 @@ def test_amplitude_table_order_bound():
     assert len(make_N_l_eigenstate(MAX_TOTAL_ORDER, 0).amplitude_table[0]) == 1
 
 
+def test_overlap_checks_the_bound_before_its_factorials():
+    # 171! overflows a float: the bound is what refuses it
+    with pytest.raises(OrderBoundError):
+        xi_fock_overlap(0.5, 171, 0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: make_summed_oam(0, 20), lambda: make_superposition(3, -3, 0.4, 9),
     lambda: TwoModeFock(np.array([[0.6, 0, 0], [0, 0, 0.8j], [0, 0, 0]])),

@@ -52,9 +52,9 @@ def _raw_spec(rng, quanta, entries=20):
     return serialize_state_spec(StateSpec(StateKind.RAW_COEFFS, {"coeffs": coeffs}))
 
 
-def _points(rng):
+def _points(rng, count=POINTS):
     points = []
-    while len(points) < POINTS:
+    while len(points) < count:
         r = math.exp(rng.uniform(math.log(0.2), math.log(6.0)))
         ell = int(rng.integers(-8, 9))
         phi = rng.uniform(0.0, 2.0 * math.pi)

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cylwigner import (StateKind, StateSpec, build_state, make_N_l_eigenstate,
-                       make_summed_oam, make_superposition, parse_state_spec,
-                       serialize_state_spec)
+from cylwigner import (StateKind, build_state, make_N_l_eigenstate, make_summed_oam,
+                       make_superposition, parse_state_spec, serialize_state_spec)
 from cylwigner.errors import OrderBoundError, SpecParseError
 from cylwigner.specfun import MAX_TOTAL_ORDER
 
@@ -110,13 +109,6 @@ def test_specs_hash_consistently_with_equality():
     assert parse_state_spec("summed l0=0 Nmax=10") not in seen
 
 
-def test_validate_is_idempotent():
-    spec = StateSpec(StateKind.EIGENSTATE, {"N": 2, "l0": 0})
-    assert spec.validate() is spec
-    with pytest.raises(ValueError):
-        StateSpec(StateKind.EIGENSTATE, {"N": 2, "l0": 1}).validate()
-
-
 def test_json_error_reports_location():
     with pytest.raises(SpecParseError) as e:
         parse_state_spec('{"kind": "eigenstate", "N": }')
@@ -130,6 +122,17 @@ def test_raw_norm_neither_overflows_nor_underflows(c):
     s = build_state(parse_state_spec(f"raw c[0,0]={c}"))
     assert abs(s.coeffs[0, 0]) == pytest.approx(1.0, abs=1e-15)
     assert s.coeffs.shape == (1, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "raw c[0,0]=1e308 c[40,0]=1e-300",
+    '{"kind": "raw", "coeffs": [[0, 0, 1e308], [40, 0, [0, 1e-300]]]}',
+])
+def test_entry_flushed_by_the_scaling_does_not_size_the_table(text):
+    # 1e-300 / 1e308 is zero: the vacuum, in a 1 x 1 table
+    s = build_state(parse_state_spec(text))
+    assert s.cutoff == 0 and s.max_total_quanta == 0
+    assert s.coeffs[0, 0] == 1.0
 
 
 def test_raw_rejects_all_zero():

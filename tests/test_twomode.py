@@ -1,5 +1,5 @@
 import itertools
-from math import cos, exp, fsum, isfinite, pi, sin, sqrt
+from math import comb, cos, exp, fsum, isfinite, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from cylwigner import (KAPPA, CartesianPoint4, CylPoint, TwoModeFock, default_ru
                        make_superposition, mode_rotate_xy_to_pm, oracle_cyl_from_cartesian,
                        rotate_state, wigner_4d)
 from cylwigner import twomode
-from cylwigner.errors import QuadratureResidueError, TruncationWarning
+from cylwigner.errors import OrderBoundError, QuadratureResidueError, TruncationWarning
 from cylwigner.quadrature import deweighted
 from cylwigner.specfun import laguerre_table
 from cylwigner.statespec import build_state, parse_state_spec
@@ -152,6 +152,27 @@ def test_mode_rotation_single_photon():
     assert s.coeffs[1, 0] == pytest.approx(1.0 / sqrt(2.0))
     assert s.coeffs[0, 1] == pytest.approx(1.0 / sqrt(2.0))
     assert s.is_normalized
+
+
+def test_mode_rotation_of_one_mode_is_binomial():
+    # |n_x = n> maps to Sum_j sqrt(C(n, j) / 2^n) |j, n - j>: the factorial ratios are exact,
+    # where a log-gamma form was 1.1e-14 off at n = 30
+    n = 30
+    xy = np.zeros((n + 1, n + 1), dtype=complex)
+    xy[n, 0] = 1.0
+    s = mode_rotate_xy_to_pm(xy)
+    got = np.array([s.coeffs[j, n - j] for j in range(n + 1)])
+    want = np.array([sqrt(comb(n, j) / 2 ** n) for j in range(n + 1)])
+    assert np.max(np.abs(got - want) / want) < 6e-15
+
+
+def test_mode_rotation_checks_the_bound_before_expanding(monkeypatch):
+    def expand(*args):
+        raise AssertionError("expanded a table past the bound")
+
+    monkeypatch.setattr(twomode, "_basis_rotation", expand)
+    with pytest.raises(OrderBoundError):  # 31 + 31 = 62 total quanta
+        mode_rotate_xy_to_pm(np.ones((32, 32)) / 32)
 
 
 def test_mode_rotation_round_trip(rng):
