@@ -26,7 +26,7 @@ dim (``_dim_constants``).
 
 import warnings
 from functools import cached_property, lru_cache
-from math import comb, cos, factorial, fsum, isfinite, pi, sin, sqrt
+from math import comb, copysign, cos, factorial, fsum, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class TwoModeFock(Record):
 
     @property
     def norm(self):
-        return float(np.linalg.norm(self.coeffs))
+        """The 2-norm; inf past the float range, so such a table is refused as unnormalized."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.coeffs))
 
     @property
     def is_normalized(self):
@@ -148,6 +150,8 @@ def make_superposition(l1, l2, phi0, Nmax):
     l1 != l2, so the branches share no entry and their sum has norm sqrt(2)."""
     if l1 == l2:  # a state added to itself: phi0 = pi would cancel it to rounding noise
         raise ValueError(f"l1 and l2 must differ, got {l1} for both")
+    if not isfinite(phi0):
+        raise ValueError(f"phi0 must be finite, got {phi0}")
     # the larger |l| first: its range check covers both, so it runs before any bound check
     parts = {l: make_summed_oam(l, Nmax) for l in sorted((l1, l2), key=abs, reverse=True)}
     a, b = parts[l1].coeffs, np.exp(1j * phi0) * parts[l2].coeffs
@@ -156,6 +160,8 @@ def make_superposition(l1, l2, phi0, Nmax):
 
 def rotate_state(s, phi0):
     """Apply exp(i phi0 L): multiplies c[n+, n-] by exp(i phi0 (n+ - n-))."""
+    if not isfinite(phi0):
+        raise ValueError(f"phi0 must be finite, got {phi0}")
     dim = s.coeffs.shape[0]
     ell = np.subtract.outer(np.arange(dim), np.arange(dim))
     return TwoModeFock(s.coeffs * np.exp(1j * phi0 * ell))
@@ -171,41 +177,33 @@ def expectation_N_L(s):
     return mean_n, mean_l
 
 
-def _basis_rotation(table, m11, m12, m21, m22):
-    """Re-express a two-mode table under A+ -> m11 B1+ + m12 B2+, etc.
+def mode_rotate_xy_to_pm(coeffs_xy):
+    """Convert a Fock table over (n_x, n_y) into the chirality basis: a square table of
+    rows + columns - 1 per side, refused unless finite and 2D.
 
-    The substitution acts on creation operators; coefficients follow by
-    binomial expansion, normalized by sqrt(n1! n2! / (na! nb!)) from exact integers.
-    Output is a square table large enough to hold all quanta.
+    a_x+ = (a_+^dag + a_-^dag)/sqrt(2) and a_y+ = -i (a_+^dag - a_-^dag)/sqrt(2) give
+    |n_x, n_y> = i^n_y Sum d sqrt(n+! n-! / (n_x! n_y! 2^N)) |n+, n->, N = n_x + n_y, with
+    d = Sum_k (-1)^k C(n_x, n+ - k) C(n_y, k) summed in integers (the pi/2 Wigner d-function
+    of Schwinger's two-oscillator model): each entry is one correctly rounded square root of
+    an exact ratio.  It keeps N, so the order bound is checked before the expansion.
     """
-    table = np.asarray(table, dtype=complex)
-    dim = table.shape[0] + table.shape[1] - 1
+    xy = np.asarray(coeffs_xy)
+    if xy.ndim != 2 or not np.isfinite(xy).all():
+        raise ValueError("the x/y table must be a finite 2D array")
+    check_order_bound(int(np.argwhere(xy).sum(axis=1).max(initial=0)))
+    dim = sum(xy.shape) - 1
     out = np.zeros((dim, dim), dtype=complex)
-    for (na, nb), c in np.ndenumerate(table):
+    for (nx, ny), c in np.ndenumerate(xy):
         if c == 0:
             continue
-        base = factorial(na) * factorial(nb)
-        for j in range(na + 1):
-            for k in range(nb + 1):
-                n1 = j + k
-                n2 = na + nb - n1
-                coef = (comb(na, j) * comb(nb, k)
-                        * m11 ** j * m12 ** (na - j) * m21 ** k * m22 ** (nb - k))
-                fac = sqrt(factorial(n1) * factorial(n2) / base)
-                out[n1, n2] += c * coef * fac
-    return out
-
-
-def mode_rotate_xy_to_pm(coeffs_xy):
-    """Convert a Fock table over (n_x, n_y) into the chirality basis.
-
-    Uses a_x+ = (a_+^dag + a_-^dag)/sqrt(2) and
-    a_y+ = -i (a_+^dag - a_-^dag)/sqrt(2); exact at the given cutoff.  It keeps
-    n_x + n_y, so the order bound is checked on the input, before the expansion.
-    """
-    check_order_bound(int(np.argwhere(coeffs_xy).sum(axis=1).max(initial=0)))
-    s = 1.0 / sqrt(2.0)
-    return TwoModeFock(_basis_rotation(coeffs_xy, s, s, -1j * s, 1j * s))
+        n, phase = nx + ny, (1, 1j, -1, -1j)[ny % 4]
+        base = factorial(nx) * factorial(ny) << n
+        for up in range(n + 1):
+            d = sum((-1) ** k * comb(nx, up - k) * comb(ny, k)
+                    for k in range(max(0, up - nx), min(up, ny) + 1))
+            out[up, n - up] += c * phase * copysign(
+                sqrt(d * d * factorial(up) * factorial(n - up) / base), d)
+    return TwoModeFock(out)
 
 
 @lru_cache(maxsize=128)

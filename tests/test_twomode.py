@@ -170,21 +170,62 @@ def test_mode_rotation_checks_the_bound_before_expanding(monkeypatch):
     def expand(*args):
         raise AssertionError("expanded a table past the bound")
 
-    monkeypatch.setattr(twomode, "_basis_rotation", expand)
+    monkeypatch.setattr(twomode, "comb", expand)
     with pytest.raises(OrderBoundError):  # 31 + 31 = 62 total quanta
         mode_rotate_xy_to_pm(np.ones((32, 32)) / 32)
 
 
-def test_mode_rotation_round_trip(rng):
-    xy = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    xy /= np.linalg.norm(xy)
-    s = mode_rotate_xy_to_pm(xy)
-    assert s.is_normalized
-    q = 1.0 / sqrt(2.0)
-    back = twomode._basis_rotation(s.coeffs, q, 1j * q, q, -1j * q)
-    padded = np.zeros_like(back)
-    padded[:3, :3] = xy
-    assert np.allclose(back, padded, atol=1e-12)
+def _image(nx, ny):
+    """The chirality table of |n_x, n_y>."""
+    xy = np.zeros((nx + 1, ny + 1), dtype=complex)
+    xy[nx, ny] = 1.0
+    return mode_rotate_xy_to_pm(xy).coeffs
+
+
+def test_mode_rotation_is_unitary_on_every_shell():
+    # the map keeps N = n_x + n_y: on each shell the images of |n_x, N - n_x> are
+    # orthonormal columns over |n+, N - n+>, so the adjoint is the inverse
+    for n in range(31):
+        up = np.arange(n + 1)
+        u = np.array([_image(nx, n - nx)[up, n - up] for nx in range(n + 1)]).T
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n + 1))) < 1e-15, n
+
+
+@pytest.mark.parametrize("nx, ny", [(29, 30), (30, 29), (12, 41), (60, 0), (20, 20)])
+def test_mode_rotation_matches_a_50_digit_expansion(nx, ny):
+    # (a_x+)^n_x (a_y+)^n_y |0> / sqrt(n_x! n_y!) expanded by the binomial theorem in
+    # a_x+ = (a_+^dag + a_-^dag)/sqrt2 and a_y+ = -i (a_+^dag - a_-^dag)/sqrt2, at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    got = _image(nx, ny)
+    with mpmath.workdps(50):
+        half, want = mpmath.sqrt(mpmath.mpf(0.5)), {}
+        for j, k in itertools.product(range(nx + 1), range(ny + 1)):
+            term = (comb(nx, j) * comb(ny, k) * half ** nx * (-1j * half) ** ny
+                    * (-1) ** (ny - k))
+            want[j + k] = want.get(j + k, 0) + term
+        for up, w in want.items():
+            w *= mpmath.sqrt(mpmath.factorial(up) * mpmath.factorial(nx + ny - up)
+                             / (mpmath.factorial(nx) * mpmath.factorial(ny)))
+            if abs(w) > 1e-30:
+                assert abs(got[up, nx + ny - up] - w) <= 1e-15 * abs(w), up
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: mode_rotate_xy_to_pm(np.array([1.0])),
+    lambda: mode_rotate_xy_to_pm(np.ones((2, 2, 2)) / sqrt(8.0)),
+    lambda: mode_rotate_xy_to_pm(np.array([[1.0, np.inf]])),
+    lambda: mode_rotate_xy_to_pm(np.array([[1.0, np.nan]])),
+    lambda: rotate_state(make_N_l_eigenstate(2, 0), np.inf),
+    lambda: rotate_state(make_N_l_eigenstate(2, 0), np.nan),
+    lambda: make_superposition(3, -3, np.inf, 9),
+    lambda: make_superposition(3, -3, np.nan, 9),
+    lambda: TwoModeFock(np.full((2, 2), 1e308)),  # its norm overflows: inf, not normalized
+], ids=["xy-1d", "xy-3d", "xy-inf", "xy-nan", "rotate-inf", "rotate-nan",
+        "superposition-inf", "superposition-nan", "norm-overflow"])
+def test_state_builders_refuse_bad_input_without_a_warning(refused):
+    # a RuntimeWarning is an error under this suite's filterwarnings, so it fails here too
+    with pytest.raises(ValueError):
+        refused()
 
 
 def vacuum_wigner(q, p):
