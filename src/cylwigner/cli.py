@@ -15,7 +15,7 @@ from . import __version__
 from .cylindrical import (DEFAULT_R_MIN, KAPPA, CylPoint, default_rule, wigner_cyl,
                           wigner_cyl_grid)
 from .errors import CylWignerError, SpecParseError
-from .statespec import build_state, parse_state_spec, serialize_state_spec
+from .statespec import read_state_spec, serialize_state_spec
 from .twomode import oracle_cyl_from_cartesian
 
 EXIT_OK = 0
@@ -187,8 +187,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        spec = parse_state_spec(args.state)
-        state = build_state(spec)
+        spec, state = read_state_spec(args.state)
         if args.command == "wigner-cyl":
             axes = grid_axes(args.r_min, args.r_max, args.nr, args.nphi,
                              args.lmin if args.lmin is not None else -args.lmax, args.lmax)

@@ -51,7 +51,7 @@ two routes agree up to one global constant (empirically 4 pi^2, see KAPPA).
 
 import warnings
 from functools import reduce
-from math import ceil, floor, hypot, isfinite, pi, sqrt
+from math import ceil, floor, hypot, isfinite, log, pi, sqrt
 from operator import add
 
 import numpy as np
@@ -147,8 +147,10 @@ def default_rule(s):
 def _alive(expo, quanta, reach):
     """The kernel's underflow test: False where exp(-expo) times the polynomial
     part, taken to be at most (2 + reach)^(2 quanta) when |xi| <= reach, is below
-    the smallest double, and where the exponent is nan."""
-    return expo - 2 * quanta * np.log(2.0 + reach) <= 745.0
+    the smallest double, and where the exponent is nan.  A float reach (one point, or the
+    radial tail search) takes ``math.log``, with no ufunc dispatch, and an array ``np.log``."""
+    ln = log if isinstance(reach, float) else np.log
+    return expo - 2 * quanta * ln(2.0 + reach) <= 745.0
 
 
 #: Complex elements in one (rows, phi, nodes) temporary of the kernel.
@@ -286,7 +288,7 @@ def _negligible_past(r, quanta, reach0):
     if not _alive(r * r + x * x, quanta, reach0 + x):
         return None
     while _alive(r * r + x * x, quanta, reach0 + x):  # 1e-3 past the fixed point ends it
-        x = sqrt(745.0 + 2 * quanta * np.log(c + x) - r * r) + 1e-3
+        x = sqrt(745.0 + 2 * quanta * log(c + x) - r * r) + 1e-3
     return x
 
 
@@ -317,9 +319,9 @@ def _radial_sum(s, r, fine=False):
             terms = reduce(add, (diagonal_power(2 * d, xi, xi.conj()) * sq_d if d else sq_d
                                  for d, sq_d in zip(offsets, sq)))
         terms *= np.exp(-u)
-        scale = np.add.reduce(np.abs(terms))
+        scale = float(np.add.reduce(np.abs(terms)))
         total = real_part(np.add.reduce(terms), scale, 1e-9, "the radial Poisson sum")
-    if not abs(terms[0]) + abs(terms[-1]) <= 1e-15 * scale:
+    if not abs(terms[0].item()) + abs(terms[-1].item()) <= 1e-15 * scale:
         raise ConvergenceError(
             f"edge samples at |r'| = {rp[-1]:.3g} are not negligible")
     return float(8.0 * pi * h * total), h

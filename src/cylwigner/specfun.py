@@ -131,21 +131,22 @@ def laguerre_plan(p, alpha):
 def laguerre_rows(a, k, c, x):
     """L_0..L_p(x) from a :func:`laguerre_plan` over the broadcast of its alpha, of at least x's
     rank, and x: degree first, points last, float for a real x and complex for a complex one.
-    The one step loop, L_k = A_k L_(k-1) + c_k L_(k-2) from L_-1 = 0 and L_0 = 1, is three
-    array operations a step on operands of one shape: A = (a - x) / k and c laid over the box."""
+    The one step loop, L_k = A_k L_(k-1) + c_k L_(k-2) from L_0 = 1 and L_1 = A_1 (the first
+    step from L_-1 = 0, whose A_1 1 + c_1 0 is A_1 exactly), is three array operations a step
+    on operands of one shape: A = (a - x) / k and c laid over the box."""
     step_a = (a - x)[:, None]  # a unit axis, so that even a scalar x's rows are arrays
     step_a /= k[:, None]
-    step_c = np.empty_like(step_a)
-    step_c[:, 0] = c
-    rows = np.empty((len(step_a) + 2,) + step_a.shape[1:], dtype=step_a.dtype)
-    rows[0], rows[1] = 0.0, 1.0  # rows[k + 1, 0] holds L_k
-    slab, prev, cur = np.empty_like(rows[0]), rows[0], rows[1]
-    for a_k, c_k, nxt in zip(step_a, step_c, rows[2:]):
+    step_c = np.empty_like(step_a[1:])
+    step_c[:, 0] = c[1:]
+    rows = np.empty((len(step_a) + 1,) + step_a.shape[1:], dtype=step_a.dtype)
+    rows[0], rows[1:2] = 1.0, step_a[:1]  # rows[k, 0] holds L_k
+    slab, prev = np.empty_like(rows[0]), rows[0]
+    for a_k, c_k, cur, nxt in zip(step_a[1:], step_c, rows[1:], rows[2:]):
         np.multiply(a_k, cur, nxt)
         np.multiply(c_k, prev, slab)
         nxt += slab
-        prev, cur = cur, nxt
-    return rows[1:, 0]
+        prev = cur
+    return rows[:, 0]
 
 
 def laguerre_table(p, alpha, x):

@@ -9,10 +9,10 @@ Two input grammars are accepted: a compact one-line key=value form,
 
 and a JSON object with a "kind" field and the same parameter names.
 Both read their text through one kind lookup, and parsing builds the state
-once (``build_state``), so a spec that parses is a spec that builds: the
-constructors check their preconditions (parity, ranges), and
-``twomode.state_from_entries`` drops zero entries and checks the total-quanta
-bound MAX_TOTAL_ORDER before it allocates the table.  This module only
+once (``build_state``; ``read_state_spec`` also returns it), so a spec that
+parses is a spec that builds: the constructors check their preconditions
+(parity, ranges), and ``twomode.state_from_entries`` drops zero entries and
+checks the total-quanta bound MAX_TOTAL_ORDER before it allocates the table.  This module only
 parses, scales a raw spec's entries and dispatches.
 """
 
@@ -118,12 +118,17 @@ def _raw_spec(entries):
 
 def parse_state_spec(text):
     """Parse spec text (key=value line or JSON object) into a StateSpec that builds."""
+    return read_state_spec(text)[0]
+
+
+def read_state_spec(text):
+    """``(spec, state)``: spec text parsed as by :func:`parse_state_spec`, and the state that
+    its one ``build_state`` call built."""
     stripped = text.strip()
     if not stripped:
         raise SpecParseError("empty state spec")
     spec = _parse_json(stripped) if stripped.startswith("{") else _parse_keyvalue(text)
-    build_state(spec)
-    return spec
+    return spec, build_state(spec)
 
 
 def _kind(head, column=1):

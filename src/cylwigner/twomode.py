@@ -89,6 +89,19 @@ class TwoModeFock(Record):
         n = np.arange(self.coeffs.shape[0])
         return read_only(np.conj(self.coeffs), self.coeffs * (-1.0) ** np.add.outer(n, n))
 
+    @cached_property
+    def pair_plan(self):
+        """The oracle's pairs of a nonzero bra entry (m, k) and a nonzero ket entry (n, n'),
+        bra-major and read-only: the flat index of (m, n) and of (n', k) in a dim x dim table,
+        and the weight bra ket / pi^2.  None past 2 dim^2 pairs, where two flat products of
+        the whole tables cost less (a dense table, a superposition of 40 quanta or more)."""
+        (bra, ket), dim = self.parity_tables, self.coeffs.shape[0]
+        m, k = np.nonzero(self.coeffs)
+        if m.size * m.size > 2 * dim * dim:
+            return None
+        return read_only(np.add.outer(m * dim, m).ravel(), np.add.outer(k, k * dim).ravel(),
+                         (np.multiply.outer(bra[m, k], ket[m, k]) / pi ** 2).ravel())
+
 
 class CartesianPoint4(Record):
     """A point of the two-mode phase space, or a batch: arrays that broadcast together."""
@@ -281,17 +294,30 @@ def _wigner_4d(s, w, z, terms=False):
 
     w + z = 2 a_+, and w - z = -conj(2 a_-) gives D_-(2 a_-) transposed: one call.  A value
     Sum bra (D_+ ket D_-) is Sum X Y^T, X = D_+ ket and Y = D_- bra^T: two flat products.
-    ``errors.real_part`` refuses a value that is not finite or not real to 1e-10 of its
-    Sum |X Y^T|, or with ``terms`` (the values are terms of one sum) of the largest |value|.
+    With ``terms`` (the values are terms of one sum) a state with a plan (``pair_plan``)
+    sums its pairs instead: per value, one ``np.add.reduce`` of the weighted products of the
+    two tables' elements, so a value does not depend on its batch.  ``errors.real_part``
+    refuses a value that is not finite or not real to 1e-10 of its Sum |X Y^T|, or with
+    ``terms`` of the largest |value|.
     """
     (bra, ket), dim = s.parity_tables, s.cutoff + 1
+    plan = s.pair_plan if terms else None
     alpha = np.array([w + z, w - z])
     # far out, Laguerre values overflow as exp(-|alpha|^2 / 2) underflows: a nan, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        d = displaced_fock_matrix(alpha, dim).reshape(2, -1, dim)
-        parts = ((d[0] @ ket).reshape(-1, dim, dim)
-                 * (d[1] @ bra.T).reshape(-1, dim, dim).transpose(0, 2, 1))
-        val = parts.sum(axis=(1, 2)).reshape(alpha.shape[1:]) / pi ** 2
+        d = displaced_fock_matrix(alpha, dim)
+        if plan is not None:
+            plus, minus, weight = plan
+            d = d.reshape(2, -1, dim * dim)
+            prod = d[0].take(plus, axis=1)
+            prod *= d[1].take(minus, axis=1)
+            prod *= weight
+            val = np.add.reduce(prod, axis=1).reshape(alpha.shape[1:])
+        else:
+            d = d.reshape(2, -1, dim)
+            parts = ((d[0] @ ket).reshape(-1, dim, dim)
+                     * (d[1] @ bra.T).reshape(-1, dim, dim).transpose(0, 2, 1))
+            val = parts.sum(axis=(1, 2)).reshape(alpha.shape[1:]) / pi ** 2
         scale = (np.max(abs(val)) if terms
                  else np.abs(parts).sum(axis=(1, 2)).reshape(val.shape) / pi ** 2)
         val = real_part(val, scale, 1e-10, "the 4D Wigner value")

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylwigner import CylPoint, __version__, cli, default_rule, wigner_cyl, wigner_cyl_grid
+from cylwigner import (CylPoint, __version__, cli, default_rule, statespec, wigner_cyl,
+                       wigner_cyl_grid)
 from cylwigner.cli import _fmt, main, write_grid_csv, write_grid_json
 from cylwigner.statespec import build_state, parse_state_spec, serialize_state_spec
 
@@ -259,6 +260,25 @@ def test_oracle_check_eigenstate_passes(capsys):
                                 "--n-points", "5", "--seed", "1"])
     assert code == 0
     assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner-cyl", "--nr", "2", "--nphi", "3", "--lmax", "1"],
+    ["oracle-check", "--n-points", "2"],
+])
+def test_cli_builds_the_state_once(capsys, monkeypatch, argv):
+    # wherever the CLI reaches build_state from: the parse's module or its own import
+    calls, exact, text = [], statespec.build_state, "summed l0=1 Nmax=5"
+    want = [parse_state_spec(text)]
+
+    def counted(spec):
+        calls.append(spec)
+        return exact(spec)
+
+    for module in (statespec, cli):
+        monkeypatch.setattr(module, "build_state", counted, raising=False)
+    code, _, _ = run(capsys, [*argv, "--state", text])
+    assert code == 0 and calls == want
 
 
 def test_byte_determinism(tmp_path, capsys):

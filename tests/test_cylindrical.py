@@ -488,6 +488,62 @@ def test_real_part_refuses_a_nan_scale():
         real_part(np.array([0.5 + 0j, 0.25 + 0j]), np.array([1.0, np.nan]), 1e-9, "a sum")
 
 
+#: The forms of one value, judged in Python floats: a Python number, a numpy scalar, a 0-d
+#: and a size-1 array
+ONE_VALUE = {"python": complex, "numpy scalar": np.complex128, "0-d": np.array,
+             "size 1": lambda v: np.array([v])}
+ONE_SCALE = {"python": float, "numpy scalar": np.float64, "0-d": np.array,
+             "size 1": lambda v: np.array([v])}
+
+
+@pytest.mark.parametrize("form", ONE_VALUE)
+def test_real_part_of_one_value_returns_its_real_part_bit_for_bit(form):
+    val = ONE_VALUE[form](-0.5 + 1e-20j)
+    got = real_part(val, ONE_SCALE[form](1.0), 1e-9, "a sum")
+    assert np.array_equal(got, val.real) and np.shape(got) == np.shape(val)
+    assert np.asarray(got).dtype == np.float64
+    assert real_part(-2.0, 0, 1e-9, "a sum") == -2.0  # a real Python number, an int scale
+
+
+@pytest.mark.parametrize("form", ONE_VALUE)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+def test_real_part_of_one_value_refuses_a_non_finite_value(form, bad):
+    with pytest.raises(QuadratureResidueError, match="a sum is not finite or not real"):
+        real_part(ONE_VALUE[form](bad), ONE_SCALE[form](2.0), 1e-9, "a sum")
+
+
+@pytest.mark.parametrize("form", ONE_VALUE)
+def test_real_part_of_one_value_refuses_a_nan_scale(form):
+    with pytest.raises(QuadratureResidueError):
+        real_part(ONE_VALUE[form](0.5 + 0j), ONE_SCALE[form](np.nan), 1e-9, "a sum")
+
+
+@pytest.mark.parametrize("form", ONE_VALUE)
+@pytest.mark.parametrize("tol, scale", [(1e-9, 2.0), (1e-10, 3.0), (1e-9, 1e-300), (1e-9, 0.0)])
+def test_real_part_of_one_value_accepts_exactly_tol_times_scale_and_not_one_ulp_more(
+        form, tol, scale):
+    edge = tol * max(scale, 1e-300)
+    for im in (edge, -edge):
+        assert real_part(ONE_VALUE[form](complex(0.5, im)), ONE_SCALE[form](scale), tol,
+                         "a sum") == 0.5
+    with pytest.raises(QuadratureResidueError):
+        real_part(ONE_VALUE[form](complex(0.5, np.nextafter(edge, 1))), ONE_SCALE[form](scale),
+                  tol, "a sum")
+
+
+def test_underflow_test_of_one_point_decides_as_the_grids(rng):
+    # a float reach takes math.log, an array np.log: they may differ in the last bit, and
+    # must not in any decision, here on 61 x 2,000 exponents within 1e-9 of the threshold
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(40.0), 2000))
+    reach = r + rng.integers(0, 13, r.size) / r + rng.uniform(2.0, 12.0, r.size)
+    for quanta in range(61):
+        expo = 745.0 + 2 * quanta * np.log(2.0 + reach) + rng.uniform(-1e-9, 1e-9, r.size)
+        grid = cylindrical._alive(expo, quanta, reach)
+        assert 0 < grid.sum() < r.size
+        assert grid.tolist() == [cylindrical._alive(e, quanta, h)
+                                 for e, h in zip(expo.tolist(), reach.tolist())], quanta
+
+
 def test_oracle_ratio_is_kappa(rng):
     states = [vacuum_state(), make_N_l_eigenstate(2, 0), make_summed_oam(1, 5)]
     for s in states:

@@ -480,6 +480,63 @@ def test_oracle_batch_is_its_single_nodes_bit_for_bit(rng, dim):
         assert np.array_equal(got, [twomode._wigner_4d(s, node, z) for node in w]), n
 
 
+#: States whose oracle sums its coefficient pairs (``TwoModeFock.pair_plan``): one offset
+#: (eigenstates, summed states), the two offsets of the +-3 superposition, and three entries
+#: of a raw table on three offsets
+PAIR_STATES = {
+    "eigenstate N=2 l0=0": lambda: make_N_l_eigenstate(2, 0),
+    "eigenstate N=40 l0=0": lambda: make_N_l_eigenstate(40, 0),
+    **{f"summed l0=0 Nmax={n}": lambda n=n: make_summed_oam(0, n) for n in (8, 20, 40)},
+    "superposition l1=3 l2=-3 phi0=0.4 Nmax=9": lambda: make_superposition(3, -3, 0.4, 9),
+    "raw c[0,0]=0.6 c[2,1]=0.5j c[1,3]=-0.4": lambda: build_state(
+        parse_state_spec("raw c[0,0]=0.6 c[2,1]=0.5j c[1,3]=-0.4")),
+}
+
+
+def _oracle_nodes(rng, n):
+    """The oracle's (w, z) at the n nodes of a random ray, as ``oracle_cyl_from_cartesian``
+    lays them out."""
+    phi, lam, r = rng.uniform(0, 2 * pi), rng.uniform(-3, 3), rng.uniform(0.5, 2.2)
+    rot = complex(cos(phi), -sin(phi))
+    return complex(sin(phi), cos(phi)) * gauss_hermite(n).nodes + lam * rot, r * rot
+
+
+@pytest.mark.parametrize("name", PAIR_STATES)
+def test_oracle_pair_sum_is_its_single_nodes_bit_for_bit(rng, name):
+    # a node's bits must not depend on its batch: a matrix-vector product would change its
+    # summation blocks with the batch size
+    s = PAIR_STATES[name]()
+    assert s.pair_plan is not None
+    for n in (1, 2, 3, 5, 8, 17, 33, 68):
+        w, z = _oracle_nodes(rng, n)
+        got = twomode._wigner_4d(s, w, z, terms=True)
+        assert np.array_equal(got, [twomode._wigner_4d(s, node, z, terms=True) for node in w]), n
+
+
+@pytest.mark.parametrize("name", PAIR_STATES)
+def test_oracle_pair_sum_agrees_with_the_flat_products(rng, name):
+    s = PAIR_STATES[name]()
+    for n in (1, 8, 33, 68):
+        w, z = _oracle_nodes(rng, n)
+        pairs, products = twomode._wigner_4d(s, w, z, terms=True), twomode._wigner_4d(s, w, z)
+        assert np.max(abs(pairs - products)) <= 1e-13 * np.max(abs(products)), n
+
+
+def test_pair_plan_is_taken_up_to_two_dim_squared_pairs(rng):
+    # the rule reads the support alone: at dim 2, two entries make 4 <= 8 pairs, three 9
+    two, three = (TwoModeFock(np.array(c) / np.linalg.norm(c))
+                  for c in ([[0.6, 0], [0, 0.8j]], [[0.6, 0.3], [0, 0.8j]]))
+    plus, minus, weight = two.pair_plan
+    assert len(plus) == len(minus) == len(weight) == 4 and three.pair_plan is None
+    with pytest.raises(ValueError):
+        weight[0] = 1.0
+    for s in (random_state(rng, cutoff=6), make_superposition(3, -3, 0.4, 40),
+              make_superposition(5, -4, 0.7, 60)):
+        assert s.pair_plan is None
+    for s in (make_summed_oam(0, 60), make_summed_oam(2, 60), make_N_l_eigenstate(60, 4)):
+        assert s.pair_plan is not None
+
+
 def test_wigner_4d_parity_at_origin():
     for N, l0 in [(1, 1), (2, 0), (3, -1)]:
         s = make_N_l_eigenstate(N, l0)
