@@ -153,6 +153,15 @@ def _alive(expo, quanta, reach):
     return expo - 2 * quanta * ln(2.0 + reach) <= 745.0
 
 
+def _envelope(s, r, ell, rule):
+    """``(shift, expo, alive)`` of rows (arrays) or one point (Python floats): the shift ell/r,
+    the exponent r^2 + shift^2 of exp(-expo), and _alive at the reach r + |shift| + the rule's
+    largest node.  At a subnormal r the shift is inf, and the test reads nan: an underflow."""
+    shift = ell / r
+    expo = r * r + shift * shift
+    return shift, expo, _alive(expo, s.max_total_quanta, r + abs(shift) + rule.nodes[-1])
+
+
 #: Complex elements in one (rows, phi, nodes) temporary of the kernel.
 #: At 64 KiB a block's temporaries stay in cache and are reused from the
 #: heap, so a grid of any size adds no resident memory; 512 KiB blocks
@@ -184,13 +193,9 @@ def _evaluate(s, r, ell, phi):
     rule = default_rule(s)
 
     # where the envelope underflows, bail out before the polynomial part overflows;
-    # at a subnormal r the exponent is inf and inf - bound may be nan: both bail out.
-    # A sum that is still not finite is refused by _sum_rows's residue test.
+    # a sum that is still not finite is refused by _sum_rows's residue test
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = ell / r
-        expo = r * r + shift * shift
-        reach = r + np.abs(shift) + rule.nodes[-1]
-        alive = _alive(expo, s.max_total_quanta, reach)
+        shift, expo, alive = _envelope(s, r, ell, rule)
         # rows in blocks and a long phi axis in slices: no temporary grows with the grid
         width = max(1, _BLOCK // rule.order)
         step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
@@ -228,15 +233,12 @@ def _sum_rows(s, r, shift, expo, phi, rule):
 def wigner_cyl(s, at):
     """W(r, phi, ell) by the contour-shifted Gauss-Hermite sum (exact).
 
-    A CylPoint is checked and its phi reduced, so its envelope is taken in
-    Python floats, as _evaluate takes it for a row, and the kernel sums one row.
+    A CylPoint is checked and its phi reduced, so its envelope is taken by _envelope in
+    Python floats, which warn of nothing, and the kernel sums one row.
     """
     rule, r = default_rule(s), at.r
-    shift = at.ell / r  # float division: inf at a subnormal r, and no numpy warning
-    expo = r * r + shift * shift
-    # an infinite shift is an underflow zero: its test would read inf - inf
-    if not (isfinite(shift) and _alive(expo, s.max_total_quanta,
-                                       r + abs(shift) + rule.nodes[-1])):
+    shift, expo, alive = _envelope(s, r, at.ell, rule)
+    if not alive:
         return 0.0
     row = np.array([r, shift, expo, at.phi])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as in _evaluate's block loop
@@ -248,8 +250,12 @@ def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
     r_nodes = np.asarray(r_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     ell_values = _integer_ell(ell_values)
-    if r_nodes.size == 0 or phi_nodes.size == 0 or ell_values.size == 0:
-        raise ValueError("grid axes must be non-empty")
+    for name, axis in (("r_nodes", r_nodes), ("phi_nodes", phi_nodes),
+                       ("ell_values", ell_values)):
+        if axis.ndim != 1:  # before the kernel reads it as rows or reshapes to it
+            raise ValueError(f"{name} must be a 1-D axis")
+        if axis.size == 0:
+            raise ValueError("grid axes must be non-empty")
     vals = _evaluate(s, r_nodes[:, None], ell_values, phi_nodes)
     values = vals.reshape(len(r_nodes), len(ell_values), len(phi_nodes)).transpose(0, 2, 1)
     return CylGrid(r_nodes, phi_nodes, ell_values, np.ascontiguousarray(values))

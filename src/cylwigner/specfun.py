@@ -28,10 +28,10 @@ from .errors import OrderBoundError
 #: Largest supported m + n (total quanta n+ + n-).  Enforced by
 #: :func:`check_order_bound` for every Hermite call here, and once per state
 #: when its table is built (the constructors check it before they allocate).
-#: The coefficients stay finite far past it, but the contour-shifted
-#: cylindrical sum loses accuracy long before it: 1.82e-5 relative at 20
-#: total quanta and 2.63e-3 at 26 (sample worsts of summed states, seeds 0-13
-#: in README), wrong values from about 30 (ROADMAP).
+#: The tests gate the 4D oracle up to it (``tests/oracle_reference.json``, at 20,
+#: 40 and 60 quanta) but the contour-shifted cylindrical sum only to 10 quanta
+#: (``test_kernel_envelope_to_10_quanta``); its three strict xfails at 30-40
+#: quanta are wrong values of that sum (ROADMAP item 1).
 MAX_TOTAL_ORDER = 60
 
 

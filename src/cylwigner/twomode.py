@@ -48,24 +48,15 @@ class TwoModeFock(Record):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient table must be a square 2D array")
+        with np.errstate(over="ignore"):  # a norm past the float range is inf: refused
+            if not abs(np.linalg.norm(c) - 1.0) <= _NORM_TOL:  # nan is refused too
+                raise ValueError("state must be normalized")
         self._store(*read_only(c))
-        if not self.is_normalized:
-            raise ValueError("state must be normalized")
         check_order_bound(self.max_total_quanta)
 
     @property
     def cutoff(self):
         return self.coeffs.shape[0] - 1
-
-    @property
-    def norm(self):
-        """The 2-norm; inf past the float range, so such a table is refused as unnormalized."""
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.coeffs))
-
-    @property
-    def is_normalized(self):
-        return abs(self.norm - 1.0) <= _NORM_TOL
 
     @cached_property
     def max_total_quanta(self):
@@ -192,7 +183,7 @@ def expectation_N_L(s):
 
 def mode_rotate_xy_to_pm(coeffs_xy):
     """Convert a Fock table over (n_x, n_y) into the chirality basis: a square table of
-    rows + columns - 1 per side, refused unless finite and 2D.
+    rows + columns - 1 per side, refused unless finite, 2D and with a nonzero entry.
 
     a_x+ = (a_+^dag + a_-^dag)/sqrt(2) and a_y+ = -i (a_+^dag - a_-^dag)/sqrt(2) give
     |n_x, n_y> = i^n_y Sum d sqrt(n+! n-! / (n_x! n_y! 2^N)) |n+, n->, N = n_x + n_y, with
@@ -203,7 +194,10 @@ def mode_rotate_xy_to_pm(coeffs_xy):
     xy = np.asarray(coeffs_xy)
     if xy.ndim != 2 or not np.isfinite(xy).all():
         raise ValueError("the x/y table must be a finite 2D array")
-    check_order_bound(int(np.argwhere(xy).sum(axis=1).max(initial=0)))
+    support = np.argwhere(xy)
+    if not support.size:  # before the bound check and the allocation: 0 x 0 sizes it -1 x -1
+        raise ValueError("the x/y table has no nonzero coefficients")
+    check_order_bound(int(support.sum(axis=1).max()))
     dim = sum(xy.shape) - 1
     out = np.zeros((dim, dim), dtype=complex)
     for (nx, ny), c in np.ndenumerate(xy):

@@ -120,7 +120,12 @@ def test_precondition_exit_3_grid(capsys):
     (["--r-min", "2", "--r-max", "1"], "r_max must exceed r_min"),
     (["--nr", "0"], "grid must have at least one node per axis"),
     (["--lmin", "3", "--lmax", "1"], "ell_min must not exceed ell_max"),
-], ids=["r-max-below-r-min", "no-r-node", "lmin-above-lmax"])
+    (["--r-min", "nan"], "r_min must be finite"),
+    (["--r-max", "inf"], "r_max must be finite"),
+    # with "=": argparse reads a bare -inf as an option
+    (["--r-min=-inf"], "r_min must be finite"),
+], ids=["r-max-below-r-min", "no-r-node", "lmin-above-lmax", "r-min-nan", "r-max-inf",
+        "r-min-minus-inf"])
 def test_grid_axes_refusal_exit_3(capsys, axes, message):
     code, out, err = run(capsys, ["wigner-cyl", "--state", VACUUM] + axes)
     assert code == 3 and out == ""

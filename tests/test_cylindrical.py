@@ -225,6 +225,13 @@ def test_grid_axis_validation():
         wigner_cyl_grid(s, [], [0.0], [0])
     with pytest.raises(ValueError):
         wigner_cyl_grid(s, [0.0, 1.0], [0.0], [0])
+    # a scalar or 2-D axis is refused by name, before the kernel reads it
+    axes = {"r_nodes": [0.1, 0.2, 0.3, 0.4], "phi_nodes": [0.0, 1.0, 2.0, 3.0],
+            "ell_values": [0, 1, 2, 3]}
+    for name, axis in axes.items():
+        for bad in (axis[1], np.reshape(axis, (2, 2))):
+            with pytest.raises(ValueError, match=f"^{name} must be a 1-D axis"):
+                wigner_cyl_grid(s, **{**axes, name: bad})
 
 
 def test_grid_refuses_values_that_do_not_fit_its_axes():

@@ -32,7 +32,7 @@ def test_parse_raw():
     s = build_state(spec)
     assert s.coeffs[0, 0] == pytest.approx(0.6)
     assert s.coeffs[1, 1] == pytest.approx(0.8j)
-    assert s.is_normalized
+    assert abs(np.linalg.norm(s.coeffs) - 1) <= 1e-10
 
 
 def test_parse_json_forms():

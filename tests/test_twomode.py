@@ -39,7 +39,7 @@ def test_table_is_readonly():
 def test_eigenstate_placement():
     s = make_N_l_eigenstate(3, 1)
     assert s.coeffs[2, 1] == 1.0
-    assert s.norm == pytest.approx(1.0)
+    assert abs(np.linalg.norm(s.coeffs) - 1) <= 1e-10
     assert s.max_total_quanta == 3
     n, l = expectation_N_L(s)
     assert (n, l) == (pytest.approx(3.0), pytest.approx(1.0))
@@ -106,7 +106,7 @@ def test_summed_oam_weights():
     assert set(support) == {(2, 0), (3, 1), (4, 2), (5, 3)}
     ratio = support[(3, 1)] / support[(2, 0)]
     assert ratio == pytest.approx(sqrt(3.0 / 5.0))
-    assert s.is_normalized
+    assert abs(np.linalg.norm(s.coeffs) - 1) <= 1e-10
     _, l = expectation_N_L(s)
     assert l == pytest.approx(2.0)
 
@@ -118,7 +118,7 @@ def test_summed_oam_range_error():
 
 def test_superposition_structure():
     s = make_superposition(3, -3, 0.25, 9)
-    assert s.is_normalized
+    assert abs(np.linalg.norm(s.coeffs) - 1) <= 1e-10
     oam = {np_ - nm for np_, nm in np.argwhere(s.coeffs).tolist()}
     assert oam == {3, -3}
     support = {(np_, nm): s.coeffs[np_, nm] for np_, nm in np.argwhere(s.coeffs).tolist()}
@@ -141,7 +141,7 @@ def test_rotate_state_phases(rng):
     for np_, nm in np.argwhere(s.coeffs).tolist():
         c = s.coeffs[np_, nm]
         assert r.coeffs[np_, nm] == pytest.approx(c * np.exp(1j * phi0 * (np_ - nm)))
-    assert r.is_normalized
+    assert abs(np.linalg.norm(r.coeffs) - 1) <= 1e-10
 
 
 def test_mode_rotation_single_photon():
@@ -151,7 +151,7 @@ def test_mode_rotation_single_photon():
     s = mode_rotate_xy_to_pm(xy)
     assert s.coeffs[1, 0] == pytest.approx(1.0 / sqrt(2.0))
     assert s.coeffs[0, 1] == pytest.approx(1.0 / sqrt(2.0))
-    assert s.is_normalized
+    assert abs(np.linalg.norm(s.coeffs) - 1) <= 1e-10
 
 
 def test_mode_rotation_of_one_mode_is_binomial():
@@ -215,17 +215,26 @@ def test_mode_rotation_matches_a_50_digit_expansion(nx, ny):
     lambda: mode_rotate_xy_to_pm(np.ones((2, 2, 2)) / sqrt(8.0)),
     lambda: mode_rotate_xy_to_pm(np.array([[1.0, np.inf]])),
     lambda: mode_rotate_xy_to_pm(np.array([[1.0, np.nan]])),
+    lambda: mode_rotate_xy_to_pm(np.zeros((0, 0))),
+    lambda: mode_rotate_xy_to_pm(np.zeros((2, 3))),
     lambda: rotate_state(make_N_l_eigenstate(2, 0), np.inf),
     lambda: rotate_state(make_N_l_eigenstate(2, 0), np.nan),
     lambda: make_superposition(3, -3, np.inf, 9),
     lambda: make_superposition(3, -3, np.nan, 9),
     lambda: TwoModeFock(np.full((2, 2), 1e308)),  # its norm overflows: inf, not normalized
-], ids=["xy-1d", "xy-3d", "xy-inf", "xy-nan", "rotate-inf", "rotate-nan",
-        "superposition-inf", "superposition-nan", "norm-overflow"])
+], ids=["xy-1d", "xy-3d", "xy-inf", "xy-nan", "xy-empty", "xy-zero", "rotate-inf",
+        "rotate-nan", "superposition-inf", "superposition-nan", "norm-overflow"])
 def test_state_builders_refuse_bad_input_without_a_warning(refused):
     # a RuntimeWarning is an error under this suite's filterwarnings, so it fails here too
     with pytest.raises(ValueError):
         refused()
+
+
+def test_mode_rotation_names_a_table_with_no_nonzero_entry():
+    # refused by its cause, not as unnormalized after the expansion or by numpy's allocation
+    for xy in (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 3), dtype=complex)):
+        with pytest.raises(ValueError, match="^the x/y table has no nonzero coefficients$"):
+            mode_rotate_xy_to_pm(xy)
 
 
 def vacuum_wigner(q, p):
