@@ -16,6 +16,7 @@ from cylwigner.errors import (ConvergenceError, OrderBoundError, QuadratureResid
                               TruncationWarning, real_part)
 from cylwigner.quadrature import QuadKind, QuadratureRule, deweighted
 from cylwigner.specfun import MAX_TOTAL_ORDER
+from cylwigner.statespec import build_state, parse_state_spec
 from test_oracle_reference import _points
 
 
@@ -415,6 +416,107 @@ def test_marginal_angle_oam_refuses_an_ell_array():
     want = marginal_angle_oam(s, 0.3, 0, rule)
     assert marginal_angle_oam(s, np.float64(0.3), np.int64(0), rule) == want
     assert marginal_angle_oam(s, np.array(0.3), np.array(0), rule) == want
+
+
+def _raw_complex_state():
+    c = np.random.default_rng(33).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    return TwoModeFock(c / np.linalg.norm(c))
+
+
+ANGLE_RULES = (gauss_legendre_mapped(96, 1e-6, 9.0), gauss_legendre_mapped(48, 1e-3, 8.0))
+
+
+@pytest.mark.parametrize("state", [lambda: make_summed_oam(2, 6),
+                                   lambda: make_superposition(3, -3, 0.4, 9),
+                                   _raw_complex_state])
+def test_angle_marginal_is_bitwise_the_grid_sum_on_an_empty_and_a_warm_cache(state):
+    # the cached phi-free rows give the bits of the uncached grid kernel, summed by the rule
+    s = state()
+    for rule in ANGLE_RULES:
+        for ell in (-4, 0, 3):
+            for phi in (-1e-20, 0.3, 2 * pi, 7.0):
+                cylindrical._angle_rows.cache_clear()
+                cold = marginal_angle_oam(s, phi, ell, rule)
+                warm = marginal_angle_oam(s, phi, ell, rule)
+                assert cylindrical._angle_rows.cache_info()[:2] == (1, 1)  # hits, misses
+                grid = wigner_cyl_grid(s, rule.nodes, [phi], [ell]).values[:, 0, 0]
+                want = float(np.add.reduce(rule.weights * grid))
+                assert np.float64(cold).tobytes() == np.float64(warm).tobytes() \
+                    == np.float64(want).tobytes()
+
+
+def test_angle_marginal_of_equal_states_fills_separate_entries():
+    spec = parse_state_spec("superposition l1=3 l2=-3 phi0=0.4 Nmax=9")
+    a, b = build_state(spec), build_state(spec)
+    rule = ANGLE_RULES[0]
+    cylindrical._angle_rows.cache_clear()
+    got = [marginal_angle_oam(s, 0.3, 0, rule) for s in (a, b)]
+    assert cylindrical._angle_rows.cache_info().currsize == 2
+    assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes()
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("phi, ell, rule, message", [
+    (np.nan, 0, ANGLE_RULES[0], "phi must be finite"),
+    (np.inf, 0, ANGLE_RULES[0], "phi must be finite"),
+    (0.3, 0.5, ANGLE_RULES[0], "ell must be an integer"),
+    (0.3, 2 ** 63, ANGLE_RULES[0], "ell must be an integer of at most 64 bits"),
+    ([0.1, 0.2], 0, ANGLE_RULES[0], "phi and ell must be scalars"),
+    (0.3, [0, 1], ANGLE_RULES[0], "phi and ell must be scalars"),
+    ([], 0, ANGLE_RULES[0], "phi and ell must be scalars"),
+    (0.3, 0, gauss_hermite(64), "radial integration requires a mapped Gauss-Legendre rule"),
+])
+def test_angle_marginal_refuses_the_same_on_a_warm_cache(phi, ell, rule, message):
+    s = make_superposition(3, -3, 0.4, 9)
+    cylindrical._angle_rows.cache_clear()
+    cold = _refusal(lambda: marginal_angle_oam(s, phi, ell, rule))
+    for warm_ell in (0, 1):
+        marginal_angle_oam(s, 0.3, warm_ell, ANGLE_RULES[0])
+    assert cold == _refusal(lambda: marginal_angle_oam(s, phi, ell, rule)) \
+        == (ValueError, message)
+
+
+def test_angle_marginal_reads_numpy_scalars_as_the_python_key():
+    s, rule = make_superposition(3, -3, 0.4, 9), ANGLE_RULES[0]
+    cylindrical._angle_rows.cache_clear()
+    want = marginal_angle_oam(s, 0.3, 3, rule)
+    for phi, ell in ((np.float64(0.3), np.int64(3)), (np.array(0.3), np.array(3)),
+                     (0.3, 3.0), (0.3, np.uint8(3))):
+        assert marginal_angle_oam(s, phi, ell, rule) == want
+    assert cylindrical._angle_rows.cache_info()[:2] == (4, 1)  # hits, misses
+
+
+def test_angle_marginal_tests_every_sum_for_realness(monkeypatch):
+    # a hit skips the phi-free rows, never the residue test of the sum over them
+    seen = []
+
+    def recorded(val, scale, tol, what):
+        seen.append(what)
+        return real_part(val, scale, tol, what)
+
+    monkeypatch.setattr(cylindrical, "real_part", recorded)
+    s, rule = make_superposition(3, -3, 0.4, 9), ANGLE_RULES[0]
+    cylindrical._angle_rows.cache_clear()
+    for phi in (0.1, 0.2, 0.1):
+        marginal_angle_oam(s, phi, 0, rule)
+    assert cylindrical._angle_rows.cache_info()[:2] == (2, 1)
+    assert seen == ["the cylindrical Wigner sum"] * 3
+
+
+def test_angle_marginal_cache_is_bounded_and_read_only():
+    s, rule = make_superposition(3, -3, 0.4, 9), ANGLE_RULES[1]
+    kept = cylindrical._ANGLE_ROWS_KEPT
+    cylindrical._angle_rows.cache_clear()
+    for ell in range(kept + 1):
+        marginal_angle_oam(s, 0.3, ell, rule)
+    assert cylindrical._angle_rows.cache_info().currsize == kept
+    entry = cylindrical._angle_rows(s, rule, kept)
+    assert len(entry) == 4 and not any(a.flags.writeable for a in entry)
 
 
 def test_marginal_radial_refuses_an_r_array():
