@@ -20,13 +20,11 @@ kernel evaluates the table once per (r, ell, node) for a whole phi axis.
 That is its phi-free step, ``_row_terms`` (xi, the table's terms, the
 envelope 4 exp(-expo)); the phi step, ``_sum_rows``, adds the phases, pairs
 bra and ket and sums the nodes.  A point and a grid take both steps per call.
-The angle-OAM marginal keeps its phi-free rows in one ``lru_cache`` of at most
-_ANGLE_ROWS_KEPT = 8 read-only entries, keyed by (state, radial rule, ell), the
-first two by identity: along a curve over phi the first call pays the phi-free
-step, at an uncached call's cost, and the rest only the phi step.  An entry is
-offsets x radial nodes x order complex terms: 2 x 96 x 17 (52 KB) for the +-3
-superposition on 96 nodes, up to 121 x 200 x 68 x 16 B = 26 MB for a dense
-60-quanta table on 200.
+The angle-OAM marginal keeps the phi-free rows of its last (state, radial rule,
+ell), the first two by identity, in a one-entry ``lru_cache``: along a curve over
+phi only the first call pays the phi-free step.  The entry, offsets x live radial
+nodes x order complex terms, is 52 KB for the +-3 superposition on 96 nodes and at
+most 121 x 200 x 68 x 16 B = 26 MB (60 quanta, the largest mapped rule).
 A state is normalized and within MAX_TOTAL_ORDER by construction
 (``TwoModeFock``), and its rule is ``default_rule``, so the kernel checks
 only its points.  A sum that is not finite, or not real to 1e-9 of its terms,
@@ -192,22 +190,15 @@ def _evaluate(s, r, ell, phi):
     element-wise, so a point's value does not depend on the batch it is in.
     """
     r, ell = (a.ravel() for a in np.broadcast_arrays(np.asarray(r, float), _integer_ell(ell)))
-    phi = np.asarray(phi, dtype=float).ravel()
-    if not (np.isfinite(r) & (r > 0)).all():
-        raise ValueError("r must be strictly positive")
-    if not np.isfinite(phi).all():
-        raise ValueError("phi must be finite")
-    phi = wrap_phi(phi)
     rule = default_rule(s)
-
     # where the envelope underflows, bail out before the polynomial part overflows;
     # a sum that is still not finite is refused by _sum_rows's residue test
     with np.errstate(over="ignore", invalid="ignore"):
-        shift, expo, alive = _envelope(s, r, ell, rule)
+        live, shift, expo = _live_rows(s, r, ell, rule)
+        phi = _phi_axis(phi)
         # rows in blocks and a long phi axis in slices: no temporary grows with the grid
         width = max(1, _BLOCK // rule.order)
         step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
-        live = np.flatnonzero(alive)
         out = np.zeros((r.size, phi.size))
         for lo in range(0, live.size, step):
             rows = live[lo:lo + step]
@@ -215,6 +206,23 @@ def _evaluate(s, r, ell, phi):
             for p in range(0, phi.size, width):
                 out[rows, p:p + width] = _sum_rows(*terms, phi[p:p + width], rule)
     return out
+
+
+def _live_rows(s, r, ell, rule):
+    """``(live, shift, expo)``: the rows of (r, ell) whose envelope does not underflow, and
+    _envelope's shift and exponent; ValueError unless every r is positive.  Under np.errstate."""
+    if not (np.isfinite(r) & (r > 0)).all():
+        raise ValueError("r must be strictly positive")
+    shift, expo, alive = _envelope(s, r, ell, rule)
+    return np.flatnonzero(alive), shift, expo
+
+
+def _phi_axis(phi):
+    """phi as a flat axis reduced to [0, 2pi); ValueError unless every value is finite."""
+    phi = np.asarray(phi, dtype=float).ravel()
+    if not np.isfinite(phi).all():
+        raise ValueError("phi must be finite")
+    return wrap_phi(phi)
 
 
 def _row_terms(s, r, shift, expo, rule):
@@ -274,22 +282,17 @@ def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
     return CylGrid(r_nodes, phi_nodes, ell_values, np.ascontiguousarray(values))
 
 
-#: Entries of the angle-OAM marginal's row cache, one per (state, radial rule, ell).
-_ANGLE_ROWS_KEPT = 8
-
-
-@lru_cache(maxsize=_ANGLE_ROWS_KEPT)
+@lru_cache(maxsize=1)
 def _angle_rows(s, radial_rule, ell):
-    """``(live, offsets, terms, envelope)``, read-only: the radial nodes whose envelope does
-    not underflow at this ell, and _row_terms of them.  Two equal states fill two entries."""
-    r = radial_rule.nodes
-    if not (np.isfinite(r) & (r > 0)).all():
-        raise ValueError("r must be strictly positive")
-    rule = default_rule(s)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _evaluate's block loop
-        shift, expo, alive = _envelope(s, r, ell, rule)
-        live = np.flatnonzero(alive)
-        return read_only(live, *_row_terms(s, r[live], shift[live], expo[live], rule))
+    """``(rule, blocks)``, read-only: the state's Gauss-Hermite rule and, in _evaluate's row
+    blocks, ``(rows, offsets, terms, envelope)`` of the radial nodes whose envelope does not
+    underflow at this ell, so no temporary of the fill outgrows a block."""
+    r, rule = radial_rule.nodes, default_rule(s)
+    step = max(1, _BLOCK // rule.order)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _evaluate
+        live, shift, expo = _live_rows(s, r, ell, rule)
+        return rule, tuple(read_only(rows, *_row_terms(s, r[rows], shift[rows], expo[rows], rule))
+                           for rows in (live[lo:lo + step] for lo in range(0, live.size, step)))
 
 
 def marginal_angle_oam(s, phi, ell, radial_rule):
@@ -303,13 +306,12 @@ def marginal_angle_oam(s, phi, ell, radial_rule):
         raise ValueError("radial integration requires a mapped Gauss-Legendre rule")
     if not (_one_value(phi) and _one_value(ell)):  # an array would be cut or read as rows
         raise ValueError("phi and ell must be scalars")
-    ell, phi = int(_integer_ell(ell)), np.asarray(phi, dtype=float).ravel()
-    live, *terms = _angle_rows(s, radial_rule, ell)
-    if not np.isfinite(phi).all():
-        raise ValueError("phi must be finite")
+    rule, blocks = _angle_rows(s, radial_rule, int(_integer_ell(ell)))
+    phi = _phi_axis(phi)
     vals = np.zeros(radial_rule.order)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals[live] = _sum_rows(*terms, wrap_phi(phi), default_rule(s))[:, 0]
+        for rows, *terms in blocks:
+            vals[rows] = _sum_rows(*terms, phi, rule)[:, 0]
     peak = np.maximum.reduce(np.abs(vals))
     if abs(vals[-1]) > 1e-12 * max(peak, 1e-300):
         warnings.warn(

@@ -451,7 +451,7 @@ def test_angle_marginal_of_equal_states_fills_separate_entries():
     rule = ANGLE_RULES[0]
     cylindrical._angle_rows.cache_clear()
     got = [marginal_angle_oam(s, 0.3, 0, rule) for s in (a, b)]
-    assert cylindrical._angle_rows.cache_info().currsize == 2
+    assert cylindrical._angle_rows.cache_info()[:2] == (0, 2)  # hits, misses
     assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes()
 
 
@@ -510,13 +510,30 @@ def test_angle_marginal_tests_every_sum_for_realness(monkeypatch):
 
 def test_angle_marginal_cache_is_bounded_and_read_only():
     s, rule = make_superposition(3, -3, 0.4, 9), ANGLE_RULES[1]
-    kept = cylindrical._ANGLE_ROWS_KEPT
+    kept = cylindrical._angle_rows.cache_info().maxsize
     cylindrical._angle_rows.cache_clear()
     for ell in range(kept + 1):
         marginal_angle_oam(s, 0.3, ell, rule)
     assert cylindrical._angle_rows.cache_info().currsize == kept
-    entry = cylindrical._angle_rows(s, rule, kept)
-    assert len(entry) == 4 and not any(a.flags.writeable for a in entry)
+    _, blocks = cylindrical._angle_rows(s, rule, kept)
+    assert not any(a.flags.writeable for block in blocks for a in block)
+
+
+@pytest.mark.parametrize("state, radial", [(lambda: make_superposition(3, -3, 0.4, 9), 96),
+                                           (lambda: make_summed_oam(2, 20), 200)])
+def test_angle_marginal_entry_is_its_live_rows_in_grid_blocks(state, radial):
+    # the one entry holds offsets x live radial nodes x order terms, filled block by block,
+    # so no temporary of the fill grows with the radial rule
+    s, rule = state(), gauss_legendre_mapped(radial, 1e-3, 8.0)
+    cylindrical._angle_rows.cache_clear()
+    gh, blocks = cylindrical._angle_rows(s, rule, 2)
+    rows = np.concatenate([b[0] for b in blocks])
+    assert gh is cylindrical.default_rule(s) and 0 < rows.size <= radial
+    assert np.array_equal(rows, np.unique(rows))
+    offsets = len(s.amplitude_table[0])
+    assert sum(b[2].nbytes for b in blocks) == offsets * rows.size * gh.order * 16
+    step = max(1, cylindrical._BLOCK // gh.order)
+    assert [b[0].size for b in blocks] == [min(step, rows.size - lo) for lo in range(0, rows.size, step)]
 
 
 def test_marginal_radial_refuses_an_r_array():
