@@ -20,7 +20,9 @@ kernel evaluates the table once per (r, ell, node) for a whole phi axis.
 That is its phi-free step, ``_row_terms`` (xi, the table's terms, the
 envelope 4 exp(-expo)); the phi step, ``_sum_rows``, adds the phases, pairs
 bra and ket and sums the nodes.  A point and a grid take both steps per call.
-The angle-OAM marginal keeps the phi-free rows of its last (state, radial rule,
+The grid and the angle-OAM marginal fill their phi-free rows through one
+``_row_blocks``: the r check and the envelope, then blocks of the rows that do
+not underflow.  The marginal keeps the phi-free rows of its last (state, radial rule,
 ell), the first two by identity, in a one-entry ``lru_cache``: along a curve over
 phi only the first call pays the phi-free step.  The entry, offsets x live radial
 nodes x order complex terms, is 52 KB for the +-3 superposition on 96 nodes and at
@@ -89,6 +91,8 @@ class CylPoint(ValueRecord):
     _fields = ("r", "phi", "ell")
 
     def __init__(self, r, phi, ell):
+        if not (_one_value(r) and _one_value(phi) and _one_value(ell)):
+            raise ValueError("r, phi and ell must be scalars")
         if not (np.isfinite(r) and r > 0):
             raise ValueError("r must be strictly positive")
         if not np.isfinite(phi):
@@ -177,44 +181,17 @@ def _envelope(s, r, ell, rule):
 _BLOCK = 1 << 12
 
 
-def _evaluate(s, r, ell, phi):
-    """W on rows of (r, ell) points times a phi axis, as a (rows, len(phi)) array.
-
-    The evaluation kernel of the grid, in the two steps that wigner_cyl's single
-    point takes too: the contour-shifted Gauss-Hermite sum on arrays of shape
-    (rows, phi, nodes), summed over the nodes.  Along the shifted contour
-    u = xi_fwd xi_bwd = r^2 + (t + i ell/r)^2 does not involve phi, so
-    _row_terms evaluates the state's diagonal polynomials once per (row, node),
-    and phi enters _sum_rows only as the phase e^{-i d phi} of each offset d of
-    the ket; the bra is the conjugate ket at the mirrored node.  Every step is
-    element-wise, so a point's value does not depend on the batch it is in.
-    """
-    r, ell = (a.ravel() for a in np.broadcast_arrays(np.asarray(r, float), _integer_ell(ell)))
-    rule = default_rule(s)
-    # where the envelope underflows, bail out before the polynomial part overflows;
-    # a sum that is still not finite is refused by _sum_rows's residue test
-    with np.errstate(over="ignore", invalid="ignore"):
-        live, shift, expo = _live_rows(s, r, ell, rule)
-        phi = _phi_axis(phi)
-        # rows in blocks and a long phi axis in slices: no temporary grows with the grid
-        width = max(1, _BLOCK // rule.order)
-        step = max(1, _BLOCK // (min(phi.size, width) * rule.order))
-        out = np.zeros((r.size, phi.size))
-        for lo in range(0, live.size, step):
-            rows = live[lo:lo + step]
-            terms = _row_terms(s, r[rows], shift[rows], expo[rows], rule)
-            for p in range(0, phi.size, width):
-                out[rows, p:p + width] = _sum_rows(*terms, phi[p:p + width], rule)
-    return out
-
-
-def _live_rows(s, r, ell, rule):
-    """``(live, shift, expo)``: the rows of (r, ell) whose envelope does not underflow, and
-    _envelope's shift and exponent; ValueError unless every r is positive.  Under np.errstate."""
+def _row_blocks(s, r, ell, rule, step):
+    """_row_terms of the rows of (r, ell) whose envelope does not underflow, as
+    ``(rows, offsets, terms, envelope)`` blocks of at most ``step`` rows.  The r check
+    (ValueError unless every r is positive) and _envelope run now, the blocks as they are
+    read.  Under np.errstate, also while the blocks are read."""
     if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("r must be strictly positive")
     shift, expo, alive = _envelope(s, r, ell, rule)
-    return np.flatnonzero(alive), shift, expo
+    live = np.flatnonzero(alive)
+    return ((rows, *_row_terms(s, r[rows], shift[rows], expo[rows], rule))
+            for rows in (live[lo:lo + step] for lo in range(0, live.size, step)))
 
 
 def _phi_axis(phi):
@@ -262,12 +239,17 @@ def wigner_cyl(s, at):
     if not alive:
         return 0.0
     row = np.array([r, shift, expo, at.phi])[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _evaluate's block loop
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the grid's block loop
         return float(_sum_rows(*_row_terms(s, row[0], row[1], row[2], rule), row[3], rule)[0, 0])
 
 
 def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
-    """Dense W over the product of the given axes, in one kernel call."""
+    """Dense W over the product of the given axes, in one kernel call.
+
+    The kernel's rows are the (r, ell) pairs, r major: _row_terms once per (row, node), then
+    _sum_rows per slice of the phi axis, the two steps of wigner_cyl's single point.  Every
+    step is element-wise, so a point's value does not depend on the batch it is in.
+    """
     r_nodes = np.asarray(r_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     ell_values = _integer_ell(ell_values)
@@ -277,22 +259,33 @@ def wigner_cyl_grid(s, r_nodes, phi_nodes, ell_values):
             raise ValueError(f"{name} must be a 1-D axis")
         if axis.size == 0:
             raise ValueError("grid axes must be non-empty")
-    vals = _evaluate(s, r_nodes[:, None], ell_values, phi_nodes)
-    values = vals.reshape(len(r_nodes), len(ell_values), len(phi_nodes)).transpose(0, 2, 1)
+    nr, nphi, nell = r_nodes.size, phi_nodes.size, ell_values.size
+    rule = default_rule(s)
+    # rows in blocks and a long phi axis in slices: no temporary grows with the grid
+    width = max(1, _BLOCK // rule.order)
+    step = max(1, _BLOCK // (min(nphi, width) * rule.order))
+    # where the envelope underflows, bail out before the polynomial part overflows;
+    # a sum that is still not finite is refused by _sum_rows's residue test
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _row_blocks(s, np.repeat(r_nodes, nell), np.tile(ell_values, nr), rule, step)
+        phi = _phi_axis(phi_nodes)
+        vals = np.zeros((nr * nell, nphi))
+        for rows, *terms in blocks:
+            for p in range(0, nphi, width):
+                vals[rows, p:p + width] = _sum_rows(*terms, phi[p:p + width], rule)
+    values = vals.reshape(nr, nell, nphi).transpose(0, 2, 1)
     return CylGrid(r_nodes, phi_nodes, ell_values, np.ascontiguousarray(values))
 
 
 @lru_cache(maxsize=1)
 def _angle_rows(s, radial_rule, ell):
-    """``(rule, blocks)``, read-only: the state's Gauss-Hermite rule and, in _evaluate's row
-    blocks, ``(rows, offsets, terms, envelope)`` of the radial nodes whose envelope does not
-    underflow at this ell, so no temporary of the fill outgrows a block."""
-    r, rule = radial_rule.nodes, default_rule(s)
-    step = max(1, _BLOCK // rule.order)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _evaluate
-        live, shift, expo = _live_rows(s, r, ell, rule)
-        return rule, tuple(read_only(rows, *_row_terms(s, r[rows], shift[rows], expo[rows], rule))
-                           for rows in (live[lo:lo + step] for lo in range(0, live.size, step)))
+    """``(rule, blocks)``, read-only: the state's Gauss-Hermite rule and _row_blocks of the
+    radial nodes at this ell, in the grid's blocks for one phi, so no temporary of the fill
+    outgrows a block."""
+    rule = default_rule(s)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in wigner_cyl_grid
+        blocks = _row_blocks(s, radial_rule.nodes, ell, rule, max(1, _BLOCK // rule.order))
+        return rule, tuple(read_only(*b) for b in blocks)
 
 
 def marginal_angle_oam(s, phi, ell, radial_rule):

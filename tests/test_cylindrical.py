@@ -73,6 +73,45 @@ def test_point_validation():
     assert CylPoint(1.0, 2 * pi + 0.3, -1).phi == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("shaped", [lambda v: np.array([v]), lambda v: np.array([v, v]),
+                                    lambda v: [v]])
+def test_point_refuses_a_non_scalar_by_name(field, shaped):
+    # numpy's own errors were TypeError for one element and "truth value ... ambiguous" for two
+    args = [1.0, 0.3, 1]
+    args[field] = shaped(args[field])
+    with pytest.raises(ValueError, match="^r, phi and ell must be scalars$"):
+        CylPoint(*args)
+
+
+def test_point_reads_numpy_scalars_and_0d_arrays_as_numbers():
+    want = CylPoint(1.0, 0.3, 1)
+    for args in ((np.float64(1.0), np.float64(0.3), np.int64(1)),
+                 (np.array(1.0), np.array(0.3), np.array(1)), (1.0, 0.3, np.uint8(1))):
+        got = CylPoint(*args)
+        assert got == want and tuple(map(type, (got.r, got.phi, got.ell))) == (float, float, int)
+
+
+@pytest.mark.parametrize("r, phi, message, limit_mib", [
+    (-1.0, 0.0, "r must be strictly positive", 1.0),
+    (-1.0, np.nan, "r must be strictly positive", 1.0),  # r is checked before phi
+    (1.0, np.nan, "phi must be finite", 2.0),  # its isfinite mask, 0.95 MiB
+])
+def test_grid_refuses_before_it_allocates(r, phi, message, limit_mib):
+    # on a 10^6-node phi axis no refusal builds the output or a copy of the axis
+    s = make_superposition(3, -3, 0.0, 9)
+    wigner_cyl_grid(s, [1.0], [0.0], [0])  # the state's tables and rule, outside the trace
+    r_nodes, phi_nodes = [r], np.full(10 ** 6, phi)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            wigner_cyl_grid(s, r_nodes, phi_nodes, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message and peak < limit_mib * 2 ** 20
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_phi_rejected(bad):
     s = make_superposition(3, -3, 0.0, 4)
