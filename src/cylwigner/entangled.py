@@ -34,6 +34,8 @@ class EntangledArg(ValueRecord):
     _fields = ("xi", "phi")
 
     def __init__(self, xi, phi=0.0):
+        if np.ndim(xi) or np.ndim(phi):  # before isfinite: an array has no one truth value
+            raise ValueError("xi and phi must be scalars")
         if not (np.isfinite(xi) and np.isfinite(phi)):
             raise ValueError("entangled-basis arguments must be finite")
         self._store(xi, float(wrap_phi(float(phi))))
@@ -119,12 +121,12 @@ def amplitude_series(s, u):
 
 def psi_entangled(s, at):
     """Entangled-representation wavefunction Psi(xi, phi) = <xi e^{-i phi}|s>."""
-    if not _gaussian(abs(at.xi))[0]:  # |xi| by abs, as below: the envelope's own bits
+    envelope = _gaussian(abs(at.xi))[0]  # exp(-u / 2), u = |xi|^2 by abs, as below
+    if not envelope:
         return 0j
     z = at.xi * np.exp(-1j * at.phi)
-    u = abs(at.xi) ** 2
-    offsets, p = amplitude_series(s, u)
-    return complex(np.exp(-u / 2.0) * sum(diagonal_power(d, z, np.conj(z)) * p_d
+    offsets, p = amplitude_series(s, abs(at.xi) ** 2)
+    return complex(envelope * sum(diagonal_power(d, z, np.conj(z)) * p_d
                                   for d, p_d in zip(offsets.tolist(), p)))
 
 

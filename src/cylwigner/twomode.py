@@ -7,14 +7,14 @@ x/y mode basis enters only through ``mode_rotate_xy_to_pm``.
 
 A TwoModeFock is normalized and holds at most MAX_TOTAL_ORDER total quanta by construction:
 both are checked once, when the table is built, so no evaluator re-checks them.  One builder,
-:func:`state_from_entries`, lays out every constructed state's table: it drops zero entries,
+:func:`state_from_entries`, lays out every table but ``rotate_state``'s: it drops zero entries,
 checks the bound on the top quanta of the rest (``specfun.check_order_bound``) before it
 allocates the table, then normalizes it.  A state expands its entangled-basis amplitude once
 (``amplitude_table``, the four-element record of ``specfun.laguerre_diagonals``): Laguerre
 series for the radial marginal, a monomial form for the cylindrical kernel, and the (a, k, c)
 plan of the recurrence that sums the series (``specfun.laguerre_plan``), as the oracle plans
-each dim; the 4D oracle reads its parity tables (``parity_tables``).  All are built on first
-use and kept read-only.  States and points compare and hash by identity.
+each dim; the oracle reads its pairs of nonzero entries and their weights (``pair_plan``).
+Both are built on first use and kept read-only.  States and points compare and hash by identity.
 
 The oracle (``oracle_cyl_from_cartesian``), the second route to W(r, phi, ell), integrates
 the 4D function over p_r along a ray, as one ``math.fsum``; ``_wigner_4d`` alone lays out
@@ -25,6 +25,7 @@ dim (``_dim_constants``).
 """
 
 import warnings
+from collections import defaultdict
 from functools import cached_property, lru_cache
 from math import comb, copysign, cos, factorial, fsum, isfinite, pi, sin, sqrt
 
@@ -74,24 +75,18 @@ class TwoModeFock(Record):
         return laguerre_diagonals(self.coeffs)
 
     @cached_property
-    def parity_tables(self):
-        """``(conj(c), c (-1)^(n+ + n-))``, read-only: the bra and the parity-weighted
-        ket of the displaced-parity overlap, computed once."""
-        n = np.arange(self.coeffs.shape[0])
-        return read_only(np.conj(self.coeffs), self.coeffs * (-1.0) ** np.add.outer(n, n))
-
-    @cached_property
     def pair_plan(self):
         """The oracle's pairs of a nonzero bra entry (m, k) and a nonzero ket entry (n, n'),
         bra-major and read-only: the flat index of (m, n) and of (n', k) in a dim x dim table,
-        and the weight bra ket / pi^2.  None past 2 dim^2 pairs, where two flat products of
-        the whole tables cost less (a dense table, a superposition of 40 quanta or more)."""
-        (bra, ket), dim = self.parity_tables, self.coeffs.shape[0]
+        and the weight conj(c[m, k]) c[n, n'] (-1)^(n + n') / pi^2.  None past 2 dim^2 pairs,
+        where two flat products of the tables cost less (dense tables, superpositions of 40)."""
+        dim = self.coeffs.shape[0]
         m, k = np.nonzero(self.coeffs)
         if m.size * m.size > 2 * dim * dim:
             return None
+        c = self.coeffs[m, k]
         return read_only(np.add.outer(m * dim, m).ravel(), np.add.outer(k, k * dim).ravel(),
-                         (np.multiply.outer(bra[m, k], ket[m, k]) / pi ** 2).ravel())
+                         (np.multiply.outer(np.conj(c), c * (-1.0) ** (m + k)) / pi ** 2).ravel())
 
 
 class CartesianPoint4(Record):
@@ -109,15 +104,16 @@ class CartesianPoint4(Record):
 def state_from_entries(entries):
     """The normalized state with the coefficients ``{(n+, n-): c}``, some nonzero, in the
     smallest square table that holds the nonzero ones, allocated after the bound on their top
-    n+ + n- is checked: a zero entry neither counts nor sizes it.  Every constructed state is
-    built here."""
+    n+ + n- is checked: a zero entry neither counts nor sizes it.  Every state is built here
+    but ``rotate_state``'s, which multiplies its input's table and keeps its layout."""
     entries = {ij: c for ij, c in entries.items() if c != 0}
     check_order_bound(max(i + j for i, j in entries))
     cut = max(max(ij) for ij in entries)
     table = np.zeros((cut + 1, cut + 1), dtype=complex)
     for ij, c in entries.items():
         table[ij] = c
-    return TwoModeFock(table / np.linalg.norm(table))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a norm of inf or 0
+        return TwoModeFock(table / np.linalg.norm(table))  # gives a table that is refused
 
 
 def make_N_l_eigenstate(N, l0):
@@ -182,8 +178,8 @@ def expectation_N_L(s):
 
 
 def mode_rotate_xy_to_pm(coeffs_xy):
-    """Convert a Fock table over (n_x, n_y) into the chirality basis: a square table of
-    rows + columns - 1 per side, refused unless finite, 2D and with a nonzero entry.
+    """The chirality-basis state of a Fock table over (n_x, n_y), refused unless finite, 2D and
+    with a nonzero entry: ``state_from_entries`` normalizes it and sizes it by its support.
 
     a_x+ = (a_+^dag + a_-^dag)/sqrt(2) and a_y+ = -i (a_+^dag - a_-^dag)/sqrt(2) give
     |n_x, n_y> = i^n_y Sum d sqrt(n+! n-! / (n_x! n_y! 2^N)) |n+, n->, N = n_x + n_y, with
@@ -195,22 +191,19 @@ def mode_rotate_xy_to_pm(coeffs_xy):
     if xy.ndim != 2 or not np.isfinite(xy).all():
         raise ValueError("the x/y table must be a finite 2D array")
     support = np.argwhere(xy)
-    if not support.size:  # before the bound check and the allocation: 0 x 0 sizes it -1 x -1
+    if not support.size:  # before the bound check, which needs a top entry
         raise ValueError("the x/y table has no nonzero coefficients")
     check_order_bound(int(support.sum(axis=1).max()))
-    dim = sum(xy.shape) - 1
-    out = np.zeros((dim, dim), dtype=complex)
-    for (nx, ny), c in np.ndenumerate(xy):
-        if c == 0:
-            continue
+    entries = defaultdict(np.complex128)  # each image entry summed as in a complex table
+    for nx, ny in support.tolist():
         n, phase = nx + ny, (1, 1j, -1, -1j)[ny % 4]
         base = factorial(nx) * factorial(ny) << n
         for up in range(n + 1):
             d = sum((-1) ** k * comb(nx, up - k) * comb(ny, k)
                     for k in range(max(0, up - nx), min(up, ny) + 1))
-            out[up, n - up] += c * phase * copysign(
+            entries[up, n - up] += xy[nx, ny] * phase * copysign(
                 sqrt(d * d * factorial(up) * factorial(n - up) / base), d)
-    return TwoModeFock(out)
+    return state_from_entries(entries)
 
 
 @lru_cache(maxsize=128)
@@ -221,6 +214,8 @@ def _dim_constants(dim):
     element's power in [alpha^k, conj(alpha)^k] and of its Laguerre value L_min(m,n)^|m-n|
     in a (degree, order) table; and the recurrence's (a, k, c) plan (``specfun.laguerre_plan``)
     for degrees below dim, an (order, 1) column per step."""
+    if dim < 1:  # here, not per call: numpy's own errors (IndexError at 0) do not name it
+        raise ValueError(f"dim must be at least 1, got {dim}")
     k = np.arange(dim)
     order = np.abs(np.subtract.outer(k, k))
     ratio = [[(-1) ** max(n - m, 0) * sqrt(factorial(min(m, n)) / factorial(max(m, n)))
@@ -294,7 +289,7 @@ def _wigner_4d(s, w, z, terms=False):
     refuses a value that is not finite or not real to 1e-10 of its Sum |X Y^T|, or with
     ``terms`` of the largest |value|.
     """
-    (bra, ket), dim = s.parity_tables, s.cutoff + 1
+    dim = s.cutoff + 1
     plan = s.pair_plan if terms else None
     alpha = np.array([w + z, w - z])
     # far out, Laguerre values overflow as exp(-|alpha|^2 / 2) underflows: a nan, refused below
@@ -308,9 +303,10 @@ def _wigner_4d(s, w, z, terms=False):
             prod *= weight
             val = np.add.reduce(prod, axis=1).reshape(alpha.shape[1:])
         else:
+            ket = s.coeffs * (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
             d = d.reshape(2, -1, dim)
             parts = ((d[0] @ ket).reshape(-1, dim, dim)
-                     * (d[1] @ bra.T).reshape(-1, dim, dim).transpose(0, 2, 1))
+                     * (d[1] @ s.coeffs.conj().T).reshape(-1, dim, dim).transpose(0, 2, 1))
             val = parts.sum(axis=(1, 2)).reshape(alpha.shape[1:]) / pi ** 2
         scale = (np.max(abs(val)) if terms
                  else np.abs(parts).sum(axis=(1, 2)).reshape(val.shape) / pi ** 2)

@@ -755,16 +755,17 @@ def test_oracle_tables_are_built_once_and_read_only():
     rule = gauss_hermite(s.max_total_quanta + 8)
     pt = CylPoint(1.2, 0.5, 1)
     first = oracle_cyl_from_cartesian(s, pt, rule)
-    tables, weights = s.parity_tables, deweighted(rule)
+    plan, weights = s.pair_plan, deweighted(rule)
     hits = deweighted.cache_info().hits
     assert oracle_cyl_from_cartesian(s, pt, rule) == first
     assert deweighted.cache_info().hits == hits + 1
-    assert s.parity_tables is tables and deweighted(rule) is weights
-    bra, ket = tables
-    assert np.array_equal(bra, np.conj(s.coeffs))
-    dim = s.coeffs.shape[0]
-    assert np.array_equal(ket, s.coeffs * (-1.0) ** np.add.outer(range(dim), range(dim)))
-    for a in (bra, ket, weights):
+    assert s.pair_plan is plan and deweighted(rule) is weights
+    # the pair weights on the support: conj(c[m, k]) c[n, n'] (-1)^(n + n') / pi^2
+    m, k = np.nonzero(s.coeffs)
+    c = s.coeffs[m, k]
+    want = np.multiply.outer(np.conj(c), c * (-1.0) ** (m + k)) / pi ** 2
+    assert np.array_equal(plan[2], want.ravel())
+    for a in (*plan, weights):
         with pytest.raises(ValueError):
             a[0] = 0.0
 

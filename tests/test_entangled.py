@@ -147,6 +147,27 @@ def test_entangled_arg_validation():
         s, EntangledArg(0.7 - 0.2j, 0.0))
 
 
+@pytest.mark.parametrize("field", range(2))
+@pytest.mark.parametrize("shaped", [lambda v: np.array([v]), lambda v: np.array([v, v]),
+                                    lambda v: [v]])
+def test_entangled_arg_refuses_a_non_scalar_by_name(field, shaped):
+    # numpy's own error was "truth value ... ambiguous" for two elements, and a list was stored
+    args = [0.7 - 0.2j, 0.3]
+    args[field] = shaped(args[field])
+    with pytest.raises(ValueError, match="^xi and phi must be scalars$"):
+        EntangledArg(*args)
+
+
+def test_entangled_arg_reads_numpy_scalars_and_0d_arrays_as_numbers():
+    s = make_superposition(3, -3, 0.4, 9)
+    want = EntangledArg(0.7 - 0.2j, 0.3)
+    for xi, phi in ((np.complex128(0.7 - 0.2j), np.float64(0.3)),
+                    (np.array(0.7 - 0.2j), np.array(0.3))):
+        got = EntangledArg(xi, phi)
+        assert got == want
+        assert psi_entangled(s, got) == psi_entangled(s, want)
+
+
 def test_unnormalized_state_rejected():
     # normalization is checked once, when the state is built
     with pytest.raises(ValueError, match="normalized"):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from cylwigner import (KAPPA, CartesianPoint4, CylPoint, TwoModeFock, default_rule,
                        expectation_N_L, gauss_hermite, make_N_l_eigenstate, make_summed_oam,
                        make_superposition, mode_rotate_xy_to_pm, oracle_cyl_from_cartesian,
-                       rotate_state, wigner_4d)
+                       rotate_state, wigner_4d, wigner_cyl)
 from cylwigner import twomode
 from cylwigner.errors import OrderBoundError, QuadratureResidueError, TruncationWarning
 from cylwigner.quadrature import deweighted
@@ -217,13 +217,16 @@ def test_mode_rotation_matches_a_50_digit_expansion(nx, ny):
     lambda: mode_rotate_xy_to_pm(np.array([[1.0, np.nan]])),
     lambda: mode_rotate_xy_to_pm(np.zeros((0, 0))),
     lambda: mode_rotate_xy_to_pm(np.zeros((2, 3))),
+    lambda: mode_rotate_xy_to_pm(np.array([[1e300, 1e300]])),  # the norm it divides by: inf
+    lambda: mode_rotate_xy_to_pm(np.array([[1e-320, 1e-320]])),  # and 0
     lambda: rotate_state(make_N_l_eigenstate(2, 0), np.inf),
     lambda: rotate_state(make_N_l_eigenstate(2, 0), np.nan),
     lambda: make_superposition(3, -3, np.inf, 9),
     lambda: make_superposition(3, -3, np.nan, 9),
     lambda: TwoModeFock(np.full((2, 2), 1e308)),  # its norm overflows: inf, not normalized
-], ids=["xy-1d", "xy-3d", "xy-inf", "xy-nan", "xy-empty", "xy-zero", "rotate-inf",
-        "rotate-nan", "superposition-inf", "superposition-nan", "norm-overflow"])
+], ids=["xy-1d", "xy-3d", "xy-inf", "xy-nan", "xy-empty", "xy-zero", "xy-norm-overflow",
+        "xy-norm-underflow", "rotate-inf", "rotate-nan", "superposition-inf",
+        "superposition-nan", "norm-overflow"])
 def test_state_builders_refuse_bad_input_without_a_warning(refused):
     # a RuntimeWarning is an error under this suite's filterwarnings, so it fails here too
     with pytest.raises(ValueError):
@@ -235,6 +238,42 @@ def test_mode_rotation_names_a_table_with_no_nonzero_entry():
     for xy in (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 3), dtype=complex)):
         with pytest.raises(ValueError, match="^the x/y table has no nonzero coefficients$"):
             mode_rotate_xy_to_pm(xy)
+
+
+@pytest.mark.filterwarnings("ignore::cylwigner.errors.TruncationWarning")
+@pytest.mark.parametrize("shape, entry, support", [((3, 3), (0, 0), 1), ((4, 4), (1, 1), 3)],
+                         ids=["vacuum", "one-one"])
+def test_mode_rotation_sizes_the_table_by_its_support(shape, entry, support, rng):
+    # zero rows of the x/y table do not size the state: the vacuum in a 3 x 3 table once
+    # gave a 5 x 5 table, and |1, 1> in a 4 x 4 table a 7 x 7 one, with the same values
+    xy = np.zeros(shape)
+    xy[entry] = 1.0
+    s = mode_rotate_xy_to_pm(xy)
+    assert s.coeffs.shape == (support, support)
+    padded = TwoModeFock(np.pad(s.coeffs, (0, sum(shape) - 1 - support)))
+    rule = gauss_hermite(s.max_total_quanta + 6)
+    for r, phi, ell in [(0.7, 0.3, 1), (1.3, 2.1, -2), (0.4, 5.0, 0)]:
+        pt = CylPoint(r, phi, ell)
+        assert (oracle_cyl_from_cartesian(s, pt, rule)
+                == oracle_cyl_from_cartesian(padded, pt, rule))
+        assert wigner_cyl(s, pt) == wigner_cyl(padded, pt)
+    # the two flat products run over the padded table's zeros too, which can round the
+    # sum to its neighbouring float: 1 ulp at these points for |1, 1>, 0 for the vacuum
+    at = CartesianPoint4(*rng.uniform(-1.5, 1.5, size=(4, 9)))
+    got, want = wigner_4d(s, at), wigner_4d(padded, at)
+    assert np.max(np.abs(got - want)) <= 2 * np.spacing(np.max(np.abs(want)))
+
+
+def test_mode_rotation_normalizes_its_table(rng):
+    # an x/y table is normalized, as every other builder's input is, where it was refused:
+    # a power-of-two scale is exact through the expansion and the norm, so the bytes agree
+    xy = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    xy /= np.linalg.norm(xy)
+    want = mode_rotate_xy_to_pm(xy).coeffs
+    for scale in (2.0, 0.25, 2.0 ** 40):
+        assert mode_rotate_xy_to_pm(scale * xy).coeffs.tobytes() == want.tobytes()
+    # any other scale rounds the entries, and normalizing them moves them by an ulp or so
+    assert np.max(np.abs(mode_rotate_xy_to_pm(0.37 * xy).coeffs - want)) <= 1e-15
 
 
 def vacuum_wigner(q, p):
@@ -276,6 +315,13 @@ def test_displaced_fock_matrix_against_expm(rng):
         exact = expm(alpha * a.conj().T - np.conj(alpha) * a)[:6, :6]
         got = displaced_fock_matrix(alpha, 6)
         assert np.allclose(got, exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_displaced_fock_matrix_refuses_a_dim_below_one_by_name(dim):
+    # numpy's own errors were IndexError at 0 and "negative dimensions are not allowed" at -1
+    with pytest.raises(ValueError, match=f"^dim must be at least 1, got {dim}$"):
+        displaced_fock_matrix(0.3, dim)
 
 
 def test_displaced_fock_matrix_batch_against_expm():
